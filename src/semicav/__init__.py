@@ -57,8 +57,6 @@ from semicav.swe import (
     GridOptions,
     ComparisonReport,
     initial_wave,
-    step_bargmann,
-    step_grid,
     evolve_swe,
     evaluate_on_grid,
     project_to_coefficients,

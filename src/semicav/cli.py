@@ -25,40 +25,11 @@ _DEFAULT_CONFIG = {
     "model": {"preset": "two-level", "g": 1.0, "detuning": 0.0, "omega": 1.0},
     "fock": {"n_max": 8},
     "grid": {"L": 5.0, "M": 128},
-    "time": {"t_end": 2 * np.pi, "dt": 1e-3, "sample_stride": 785},
+    "time": {"t_end": 6.284, "dt": 1e-3, "sample_stride": 1571},
     "swe_backend": "bargmann",
     "sampling": {"count": 100000, "seed": 20210527},
     "output_dir": "semicav_out",
 }
-
-
-def _format_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def dumps_17g(obj, indent: int = 0) -> str:
-    """JSON with floats rendered at 17 significant digits (bit-stable output)."""
-    pad = " " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {dumps_17g(v, indent + 2)}' for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return "[" + ", ".join(dumps_17g(v, indent) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(obj)
-    if obj is None:
-        return "null"
-    return json.dumps(obj)
 
 
 def _matrix_to_json(m: np.ndarray) -> list:
@@ -179,6 +150,8 @@ class RunReport:
 
 
 def _write_csv(path: Path, header_meta: dict, columns: list[str], rows) -> None:
+    """The one CSV writer: a ``# key=value`` metadata line, a header, then each
+    row's cells as shortest round-trip floats."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         meta = " ".join(f"{k}={v}" for k, v in header_meta.items())
@@ -186,8 +159,15 @@ def _write_csv(path: Path, header_meta: dict, columns: list[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                             for v in row])
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def _grid_table(grid: phasespace.PhaseGrid, values: np.ndarray) -> np.ndarray:
+    """(M^2, 2 + k) table of x, y and the k real values per node, row-major over the grid."""
+    M = grid.M
+    x = grid.axis()
+    xy = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(M * M, 2)
+    return np.hstack((xy, values.reshape(M * M, -1)))
 
 
 def _initial_composite(config: ScenarioConfig) -> unitary.CompositeState:
@@ -253,19 +233,8 @@ def cmd_rabi(config: ScenarioConfig) -> RunReport:
           row["n_oracle"], row["n_swe_via_noise_subtraction"],
           row["comparison"]["linf"]) for row in report.rows],
     )
-    with open(out / "report.json", "w") as fh:
-        fh.write(dumps_17g(report.to_dict()) + "\n")
+    (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     return report
-
-
-def _field_csv_rows(grid: phasespace.PhaseGrid, arrays: dict[str, np.ndarray]):
-    x = grid.axis()
-    for ix in range(grid.M):
-        for iy in range(grid.M):
-            row = [repr(float(x[ix])), repr(float(x[iy]))]
-            for arr in arrays.values():
-                row.append(repr(float(np.real(arr[ix, iy]))))
-            yield row
 
 
 def write_field_csv(field, path) -> Path:
@@ -276,34 +245,19 @@ def write_field_csv(field, path) -> Path:
     """
     path = Path(path)
     grid = field.grid
-    x = grid.axis()
     if isinstance(field, phasespace.PhaseFunction):
         meta = {"kind": field.kind, "L": grid.L, "M": grid.M}
         columns = ["x", "y", "value"]
-
-        def rows():
-            for ix in range(grid.M):
-                for iy in range(grid.M):
-                    yield [repr(float(x[ix])), repr(float(x[iy])),
-                           repr(float(np.real(field.values[ix, iy])))]
+        values = np.real(field.values)
     elif isinstance(field, phasespace.OperatorPhaseField):
         d = field.atom_dim
         meta = {"kind": field.kind, "L": grid.L, "M": grid.M, "atom_dim": d}
         columns = ["x", "y"] + [f"{part}_m{i}{j}" for i in range(d) for j in range(d)
                                 for part in ("re", "im")]
-
-        def rows():
-            for ix in range(grid.M):
-                for iy in range(grid.M):
-                    row = [repr(float(x[ix])), repr(float(x[iy]))]
-                    for i in range(d):
-                        for j in range(d):
-                            z = field.values[ix, iy, i, j]
-                            row.extend((repr(float(z.real)), repr(float(z.imag))))
-                    yield row
+        values = np.stack((field.values.real, field.values.imag), axis=-1)
     else:
         raise TypeError(f"cannot serialize {type(field).__name__}")
-    _write_csv(path, meta, columns, rows())
+    _write_csv(path, meta, columns, _grid_table(grid, values))
     return path
 
 
@@ -345,20 +299,10 @@ def write_wave_csv(wave, path) -> Path:
         raise ValueError("wave snapshots require the grid representation")
     grid = wave.grid
     d = wave.atom_dim
-    x = grid.axis()
     columns = ["x", "y"] + [f"{part}_psi{i}" for i in range(d) for part in ("re", "im")]
-
-    def rows():
-        for ix in range(grid.M):
-            for iy in range(grid.M):
-                row = [repr(float(x[ix])), repr(float(x[iy]))]
-                for i in range(d):
-                    z = wave.values[ix, iy, i]
-                    row.extend((repr(float(z.real)), repr(float(z.imag))))
-                yield row
-
+    values = np.stack((wave.values.real, wave.values.imag), axis=-1)
     _write_csv(path, {"kind": "wave", "L": grid.L, "M": grid.M, "atom_dim": d,
-                      "time": wave.time}, columns, rows())
+                      "time": wave.time}, columns, _grid_table(grid, values))
     return path
 
 
@@ -376,7 +320,6 @@ def cmd_phasespace(config: ScenarioConfig, t: float, kind: str) -> Path:
     grid = config.phase_grid()
     space = config.composite_space()
     n_steps = _steps_for(config, t)
-    columns: dict[str, np.ndarray] = {}
     meta = {"kind": kind, "L": config.L, "M": config.M, "time": t, "n_max": config.n_max}
     if kind == "swe-density":
         if n_steps == 0:
@@ -385,7 +328,7 @@ def cmd_phasespace(config: ScenarioConfig, t: float, kind: str) -> Path:
         else:
             tgrid = unitary.TimeGrid(0.0, t, config.dt, n_steps)
             wave = _run_swe(config, tgrid)[-1]
-        columns["density"] = swe.field_density(wave, grid).values
+        column, values = "density", swe.field_density(wave, grid).values
     else:
         psi0 = _initial_composite(config)
         if n_steps == 0:
@@ -395,11 +338,11 @@ def cmd_phasespace(config: ScenarioConfig, t: float, kind: str) -> Path:
             state = unitary.evolve_unitary(config.model, psi0, tgrid).states[-1]
         rho_field = fockspace.partial_trace_atom(unitary.density_operator(state), space)
         if kind == "wigner":
-            columns["value"] = phasespace.wigner(rho_field, grid).values
+            column, values = "value", phasespace.wigner(rho_field, grid).values
         else:
-            columns["value"] = phasespace.husimi_function(rho_field, grid).values
+            column, values = "value", phasespace.husimi_function(rho_field, grid).values
     path = Path(config.output_dir) / f"field_{kind}_t{t:g}.csv"
-    _write_csv(path, meta, ["x", "y", *columns.keys()], _field_csv_rows(grid, columns))
+    _write_csv(path, meta, ["x", "y", column], _grid_table(grid, np.real(values)))
     return path
 
 
@@ -421,12 +364,7 @@ def cmd_sample(config: ScenarioConfig, t: float, count: int | None = None,
     d = wave.atom_dim
     path = Path(config.output_dir) / f"samples_t{t:g}.csv"
     state_cols = [f"{part}_psi{i}" for i in range(d) for part in ("re", "im")]
-    rows = (
-        [repr(s.a.real), repr(s.a.imag)]
-        + [repr(float(part(s.conditional_state[i])))
-           for i in range(d) for part in (np.real, np.imag)]
-        for s in samples
-    )
+    rows = ((s.a.real, s.a.imag, *s.conditional_state.view(float)) for s in samples)
     _write_csv(path, {"kind": "samples", "time": t, "count": count, "seed": seed,
                       "L": config.L, "M": config.M},
                ["a_re", "a_im", *state_cols], rows)
@@ -558,8 +496,7 @@ def cmd_verify(config: ScenarioConfig, kernel_width_scale: float = 1.0) -> tuple
     report = {"all_pass": all(c["pass"] for c in checks), "checks": checks}
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "verify.json", "w") as fh:
-        fh.write(dumps_17g(report) + "\n")
+    (out / "verify.json").write_text(json.dumps(report, indent=2) + "\n")
     return (0 if report["all_pass"] else 1), report
 
 

@@ -40,7 +40,7 @@ from semicav.phasespace import (
     husimi_density,
     phase_space_moment,
 )
-from semicav.unitary import AtomFieldModel, TimeGrid, rotated_current
+from semicav.unitary import AtomFieldModel, TimeGrid, coupling_rhs, integrate, rotated_current
 
 __all__ = [
     "SemiclassicalWave",
@@ -48,8 +48,6 @@ __all__ = [
     "GridOptions",
     "ComparisonReport",
     "initial_wave",
-    "step_bargmann",
-    "step_grid",
     "evolve_swe",
     "evaluate_on_grid",
     "project_to_coefficients",
@@ -175,46 +173,8 @@ def initial_wave(psi_ato: np.ndarray, grid_or_basis,
     raise TypeError("expected a PhaseGrid or a FockBasis")
 
 
-def _bargmann_rhs(model: AtomFieldModel, t: float, F: np.ndarray,
-                  sqrt_n: np.ndarray) -> np.ndarray:
-    jt = rotated_current(model, t)
-    up = np.zeros_like(F)
-    up[1:] = F[:-1]
-    down = np.zeros_like(F)
-    down[:-1] = F[1:]
-    sqrt_np1 = np.concatenate((sqrt_n[1:], [0.0]))
-    return -1j * (sqrt_n[:, None] * (up @ jt.T) + sqrt_np1[:, None] * (down @ jt.conj()))
-
-
-def step_bargmann(model: AtomFieldModel, wave: SemiclassicalWave, t: float,
-                  dt: float) -> SemiclassicalWave:
-    """One RK4 step of the coefficient equations.
-
-    i dF_n/dt = sqrt(n) j(t) F_{n-1} + sqrt(n+1) j+(t) F_{n+1}; raises when
-    probability accumulates at the truncation edge.
-    """
-    if wave.representation != "bargmann":
-        raise ValueError("step_bargmann requires the bargmann representation")
-    sqrt_n = np.sqrt(np.arange(wave.basis.dim, dtype=float))
-    F = wave.coeffs
-
-    def rhs(tt, y):
-        return _bargmann_rhs(model, tt, y, sqrt_n)
-
-    k1 = rhs(t, F)
-    k2 = rhs(t + 0.5 * dt, F + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, F + 0.5 * dt * k2)
-    k4 = rhs(t + dt, F + dt * k3)
-    F_new = F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    top = float(np.sum(np.abs(F_new[-1]) ** 2))
-    if top > 1e-8:
-        raise RuntimeError(f"probability {top} at the truncation edge; raise n_max")
-    return SemiclassicalWave("bargmann", time=t + dt, basis=wave.basis, coeffs=F_new,
-                             norm_tol=wave.norm_tol)
-
-
 class GridStepper:
-    """Precomputed machinery for stepping a grid wave; reusable across steps."""
+    """Precomputed right-hand side of the grid backend, stepped by ``integrate``."""
 
     def __init__(self, model: AtomFieldModel, grid: PhaseGrid,
                  options: GridOptions | None = None):
@@ -270,68 +230,74 @@ class GridStepper:
             out -= self.damping * (-dstar_v + 0.5 * self._a * v)
         return out
 
-    def step(self, wave: SemiclassicalWave, t: float, dt: float) -> SemiclassicalWave:
-        psi = wave.values
-        before = _boundary_mass(np.abs(psi) ** 2, self.grid)
-        k1 = self.rhs(t, psi)
-        k2 = self.rhs(t + 0.5 * dt, psi + 0.5 * dt * k1)
-        k3 = self.rhs(t + 0.5 * dt, psi + 0.5 * dt * k2)
-        k4 = self.rhs(t + dt, psi + dt * k3)
-        psi_new = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if self.options.check_boundary:
-            after = _boundary_mass(np.abs(psi_new) ** 2, self.grid)
-            if after - before > 1e-8:
-                raise RuntimeError(
-                    f"boundary mass grew by {after - before} in one step; grid too small"
-                )
-        tol = self.options.norm_tol if self.options.norm_tol is not None else wave.norm_tol
-        return SemiclassicalWave("grid", time=t + dt, grid=self.grid, values=psi_new,
-                                 norm_tol=tol)
+
+def _coefficient_guard(wave: SemiclassicalWave):
+    """Per-step checks of the coefficient backend on Y = F^T, shaped (d, n_max + 1)."""
+    tol = wave.norm_tol if wave.norm_tol is not None else 1e-10
+
+    def guard(step, t, Y):
+        top = float(np.sum(np.abs(Y[:, -1]) ** 2))
+        if top > 1e-8:
+            raise RuntimeError(f"probability {top} at the truncation edge at step {step}, "
+                               f"t={t}; raise n_max")
+        total = float(np.sum(np.abs(Y) ** 2))
+        if abs(total - 1.0) > tol:
+            raise ValueError(f"total probability {total} deviates from 1 beyond {tol} "
+                             f"at step {step}, t={t}")
+
+    return guard
 
 
-def step_grid(model: AtomFieldModel, wave: SemiclassicalWave, t: float, dt: float,
-              options: GridOptions | None = None) -> SemiclassicalWave:
-    """One RK4 step of the collocation backend. See GridStepper for reuse."""
-    if wave.representation != "grid":
-        raise ValueError("step_grid requires the grid representation")
-    return GridStepper(model, wave.grid, options).step(wave, t, dt)
+def _grid_guard(stepper: GridStepper, wave: SemiclassicalWave, tol: float | None):
+    """Per-step checks of the grid backend: boundary-mass growth, then unit probability."""
+    grid = stepper.grid
+    check = stepper.options.check_boundary
+    tol = tol if tol is not None else grid.tol
+    initial = previous = _boundary_mass(np.abs(wave.values) ** 2, grid)
+
+    def guard(step, t, psi):
+        nonlocal previous
+        density = np.abs(psi) ** 2
+        mass = _boundary_mass(density, grid)
+        if check and mass - previous > 1e-8:
+            raise RuntimeError(f"boundary mass grew by {mass - previous} in one step "
+                               f"(step {step}, t={t}); grid too small")
+        total = float(np.sum(density) * grid.weight)
+        if abs(total - 1.0) > tol:
+            raise ValueError(f"total probability {total} deviates from 1 beyond {tol} "
+                             f"at step {step}, t={t}")
+        if check and mass - initial > 1e-8:
+            raise RuntimeError(f"boundary mass grew from {initial} to {mass} by step {step}, "
+                               f"t={t}; grid too small")
+        previous = mass
+
+    return guard
 
 
 def evolve_swe(model: AtomFieldModel, wave: SemiclassicalWave, tgrid: TimeGrid,
                options: GridOptions | None = None) -> list[SemiclassicalWave]:
     """Drive either backend over a TimeGrid, sampling every ``sample_stride`` steps.
 
-    For the grid backend the cumulative boundary-mass growth over the run
-    is held to 1e-8 (unless disabled through ``options``).
+    The coefficient backend integrates the oracle's coupling ODE on F^T and
+    raises when probability reaches the truncation edge. For the grid
+    backend the boundary-mass growth, per step and over the run, is held to
+    1e-8 (unless disabled through ``options``). Both check unit probability
+    after every step.
     """
-    samples = [wave]
-    t = tgrid.t_start
-    if abs(wave.time - t) > 1e-12:
-        raise ValueError(f"wave time {wave.time} does not match grid start {t}")
+    if abs(wave.time - tgrid.t_start) > 1e-12:
+        raise ValueError(f"wave time {wave.time} does not match grid start {tgrid.t_start}")
     if wave.representation == "grid":
         stepper = GridStepper(model, wave.grid, options)
-        check = stepper.options.check_boundary
-        initial_mass = _boundary_mass(np.abs(wave.values) ** 2, wave.grid)
-        current = wave
-        for step in range(1, tgrid.n_steps + 1):
-            current = stepper.step(current, t, tgrid.dt)
-            t = tgrid.t_start + step * tgrid.dt
-            if check:
-                mass = _boundary_mass(np.abs(current.values) ** 2, wave.grid)
-                if mass - initial_mass > 1e-8:
-                    raise RuntimeError(
-                        f"boundary mass grew from {initial_mass} to {mass}; grid too small"
-                    )
-            if step % tgrid.sample_stride == 0:
-                samples.append(current)
-    else:
-        current = wave
-        for step in range(1, tgrid.n_steps + 1):
-            current = step_bargmann(model, current, t, tgrid.dt)
-            t = tgrid.t_start + step * tgrid.dt
-            if step % tgrid.sample_stride == 0:
-                samples.append(current)
-    return samples
+        tol = stepper.options.norm_tol if stepper.options.norm_tol is not None else wave.norm_tol
+        times, ys = integrate(stepper.rhs, wave.values, tgrid, _grid_guard(stepper, wave, tol))
+        return [wave] + [SemiclassicalWave("grid", time=t, grid=wave.grid, values=psi,
+                                           norm_tol=tol)
+                         for t, psi in zip(times[1:], ys[1:])]
+    times, ys = integrate(coupling_rhs(model, wave.basis), wave.coeffs.T, tgrid,
+                          _coefficient_guard(wave))
+    return [wave] + [SemiclassicalWave("bargmann", time=t, basis=wave.basis, coeffs=Y.T,
+                                       norm_tol=wave.norm_tol)
+                     for t, Y in zip(times[1:], ys[1:])]
 
 
 def _basis_matrix(grid: PhaseGrid, n_max: int) -> np.ndarray:
@@ -378,17 +344,18 @@ def _evaluate_at_point(wave: SemiclassicalWave, a: complex) -> np.ndarray:
         basis_vals = (np.exp(-0.5 * abs(a) ** 2) * np.power(np.conj(a), n)
                       * np.exp(-0.5 * gammaln(n + 1)) / np.sqrt(np.pi))
         return basis_vals @ wave.coeffs
-    x = wave.grid.axis()
-    ix = int(np.clip(np.round((a.real + wave.grid.L) / wave.grid.h), 0, wave.grid.M - 1))
-    iy = int(np.clip(np.round((a.imag + wave.grid.L) / wave.grid.h), 0, wave.grid.M - 1))
+    grid = wave.grid
+    ix, iy = (int(np.round((part + grid.L) / grid.h)) for part in (a.real, a.imag))
+    if not (0 <= ix < grid.M and 0 <= iy < grid.M):
+        raise ValueError(f"a={a} lies outside the grid [-{grid.L}, {grid.L})^2")
     return wave.values[ix, iy]
 
 
 def conditional_state(wave: SemiclassicalWave, a: complex) -> FieldSample:
     """Atomic state conditioned on the field value ``a``: psi(a)/||psi(a)||.
 
-    Grid waves are read at the nearest node. Conditioning on a field value
-    of vanishing probability is refused.
+    Grid waves are read at the nearest node; a value whose nearest node
+    lies off the grid is refused, as is one of vanishing probability.
     """
     vec = _evaluate_at_point(wave, complex(a))
     nrm = np.linalg.norm(vec)

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicav.cli import (
     ScenarioConfig,
@@ -11,7 +13,6 @@ from semicav.cli import (
     cmd_rabi,
     cmd_sample,
     cmd_verify,
-    dumps_17g,
     main,
     read_field_csv,
     write_field_csv,
@@ -20,6 +21,7 @@ from semicav.cli import (
 from semicav.fockspace import CompositeSpace, FockBasis
 from semicav.phasespace import PhaseGrid, husimi_density, husimi_function
 from semicav.swe import initial_wave
+from semicav.unitary import AtomFieldModel
 
 
 def small_config(tmp_path, **overrides):
@@ -34,6 +36,32 @@ def small_config(tmp_path, **overrides):
     }
     doc.update(overrides)
     return ScenarioConfig.from_dict(doc)
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def scenario_configs(draw):
+    d = draw(st.integers(1, 3))
+    entries = st.lists(st.tuples(finite, finite), min_size=d * d, max_size=d * d)
+    A = np.array([complex(re, im) for re, im in draw(entries)]).reshape(d, d)
+    j = np.array([complex(re, im) for re, im in draw(entries)]).reshape(d, d)
+    sampled = draw(st.booleans())
+    return ScenarioConfig(
+        model=AtomFieldModel(d, h_ato=A + A.conj().T, j=j,
+                             omega=draw(st.floats(0.0, 1e3, allow_nan=False))),
+        n_max=draw(st.integers(2, 40)),
+        L=draw(st.floats(0.1, 20.0)),
+        M=2 ** draw(st.integers(5, 9)),
+        t_end=draw(st.floats(1e-3, 1e3)),
+        dt=draw(st.floats(1e-6, 1.0)),
+        sample_stride=draw(st.integers(1, 10 ** 6)),
+        swe_backend=draw(st.sampled_from(["bargmann", "grid"])),
+        sample_count=draw(st.integers(1, 10 ** 6)) if sampled else None,
+        sample_seed=draw(st.integers(0, 2 ** 32 - 1)) if sampled else None,
+        output_dir=draw(st.text(min_size=1, max_size=20)),
+    )
 
 
 def read_csv(path):
@@ -73,17 +101,19 @@ class TestConfig:
 
 
 class TestJsonFloats:
-    def test_17_digit_round_trip(self):
-        values = [np.pi, 1.0 / 3.0, 6.283185307179586, 1e-300, -0.0]
-        for v in values:
-            rendered = dumps_17g(v)
-            assert float(rendered) == v
+    @settings(max_examples=50, deadline=None)
+    @given(scenario_configs())
+    def test_config_json_round_trip(self, config):
+        doc = config.to_dict()
+        again = ScenarioConfig.from_dict(json.loads(json.dumps(doc)))
+        assert again.to_dict() == doc
 
-    def test_deterministic_rendering(self):
-        doc = {"a": [np.pi, {"b": 0.1}], "c": True, "d": None}
-        assert dumps_17g(doc) == dumps_17g(doc)
-        parsed = json.loads(dumps_17g(doc))
-        assert parsed["a"][0] == pytest.approx(np.pi, abs=0)
+    def test_17_digit_round_trip(self, tmp_path):
+        # every float of report.json loads back bit-equal to the report it came from
+        config = small_config(tmp_path)
+        report = cmd_rabi(config)
+        payload = json.loads((Path(config.output_dir) / "report.json").read_text())
+        assert payload == report.to_dict()
 
 
 class TestRabiCommand:
@@ -181,6 +211,14 @@ class TestVerifyCommand:
         payload = json.loads((Path(config.output_dir) / "verify.json").read_text())
         assert payload["all_pass"] is True
 
+    def test_three_level_model_passes(self, tmp_path, three_level_model):
+        config = small_config(tmp_path, fock={"n_max": 10}, grid={"L": 6.0, "M": 128},
+                              time={"t_end": 0.5, "dt": 2e-3, "sample_stride": 250})
+        config.model = three_level_model
+        status, report = cmd_verify(config)
+        assert status == 0, [c for c in report["checks"] if not c["pass"]]
+        assert len(report["checks"]) == 10
+
     def test_corrupted_kernel_is_detected(self, tmp_path):
         config = small_config(tmp_path, fock={"n_max": 8})
         status, report = cmd_verify(config, kernel_width_scale=1.2)
@@ -245,3 +283,9 @@ class TestMain:
         assert status == 0
         _, _, rows = read_csv(Path(out_dir) / "samples_t0.csv")
         assert len(rows) == 100
+
+    @pytest.mark.parametrize("verb", ["rabi", "phasespace", "sample", "verify"])
+    def test_every_verb_runs_from_defaults(self, tmp_path, verb):
+        out_dir = tmp_path / "defaults"
+        assert main(["--out", str(out_dir), verb]) == 0
+        assert any(out_dir.iterdir())

@@ -17,14 +17,13 @@ from semicav.swe import (
     initial_wave,
     project_to_coefficients,
     sample_field,
-    step_bargmann,
-    step_grid,
     swe_expectation,
 )
 from semicav.unitary import (
     AtomFieldModel,
     TimeGrid,
     evolve_unitary,
+    integrate,
     product_initial_state,
     two_level_model,
 )
@@ -81,15 +80,13 @@ class TestInitialWave:
 class TestBargmannStepper:
     def test_zero_current_is_static(self):
         wave = initial_wave(EXCITED, FockBasis(6))
-        stepped = step_bargmann(zero_current_model(), wave, 0.0, 1e-2)
+        stepped = evolve_swe(zero_current_model(), wave, TimeGrid(0.0, 1e-2, 1e-2))[-1]
         np.testing.assert_allclose(stepped.coeffs, wave.coeffs, atol=1e-15)
 
     def test_resonant_rabi_coefficients(self):
         model = two_level_model(g=1.0)
         wave = initial_wave(EXCITED, FockBasis(6))
-        dt = 1e-3
-        for step in range(1000):
-            wave = step_bargmann(model, wave, step * dt, dt)
+        wave = evolve_swe(model, wave, TimeGrid(0.0, 1.0, 1e-3, 1000))[-1]
         t = 1.0
         np.testing.assert_allclose(wave.coeffs[0], np.cos(t) * EXCITED, atol=1e-8)
         np.testing.assert_allclose(wave.coeffs[1], -1j * np.sin(t) * GROUND, atol=1e-8)
@@ -102,26 +99,41 @@ class TestBargmannStepper:
         model = AtomFieldModel(3, h_ato=np.zeros((3, 3)), j=lower, omega=0.0)
         psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
         wave = initial_wave(psi0, FockBasis(2))
-        with pytest.raises(RuntimeError, match="truncation"):
-            t = 0.0
-            for _ in range(2000):
-                wave = step_bargmann(model, wave, t, 1e-3)
-                t += 1e-3
+        with pytest.raises(RuntimeError, match=r"truncation edge at step \d+, t="):
+            evolve_swe(model, wave, TimeGrid(0.0, 2.0, 1e-3))
 
     def test_probability_conserved_per_unit_time(self):
         model = two_level_model(g=1.0, detuning=0.5)
         wave = initial_wave(EXCITED, FockBasis(6))
-        t = 0.0
-        for _ in range(1000):
-            wave = step_bargmann(model, wave, t, 1e-3)
-            t += 1e-3
+        wave = evolve_swe(model, wave, TimeGrid(0.0, 1.0, 1e-3))[-1]
         assert abs(wave.total_probability() - 1.0) <= 1e-9
+
+    def test_probability_guard_names_step_and_time(self):
+        # with no tolerance the RK4 norm defect of the first step is caught
+        wave = SemiclassicalWave("bargmann", time=0.0, basis=FockBasis(6),
+                                 coeffs=initial_wave(EXCITED, FockBasis(6)).coeffs, norm_tol=0.0)
+        with pytest.raises(ValueError, match=r"total probability .* at step 1, t=0\.01"):
+            evolve_swe(two_level_model(g=1.0), wave, TimeGrid(0.0, 1.0, 1e-2))
+
+    def test_matches_oracle_on_three_levels(self, three_level_model):
+        # the coefficient backend integrates the oracle's ODE on F = Y^T
+        model = three_level_model
+        basis = FockBasis(10)
+        psi_ato = np.array([1.0, 0.0, 0.0], dtype=complex)
+        vac = np.zeros(basis.dim, dtype=complex)
+        vac[0] = 1.0
+        tgrid = TimeGrid(0.0, 1.0, 1e-3, 250)
+        psi0 = product_initial_state(psi_ato, vac, CompositeSpace(3, basis))
+        states = evolve_unitary(model, psi0, tgrid).states
+        waves = evolve_swe(model, initial_wave(psi_ato, basis), tgrid)
+        for state, wave in zip(states, waves):
+            np.testing.assert_allclose(wave.coeffs.T, state.as_matrix(), atol=1e-14)
 
 
 class TestGridStepper:
     def test_zero_current_is_static(self, grid64):
         wave = initial_wave(EXCITED, grid64)
-        stepped = step_grid(zero_current_model(), wave, 0.0, 1e-2)
+        stepped = evolve_swe(zero_current_model(), wave, TimeGrid(0.0, 1e-2, 1e-2))[-1]
         np.testing.assert_allclose(stepped.values, wave.values, atol=1e-14)
 
     def test_multiplication_term_is_node_local(self, grid64):
@@ -139,13 +151,12 @@ class TestGridStepper:
 
         # no derivative term survives, so the transverse damping is moot;
         # switching it off makes the node-local closed form exact
-        stepper = LoweringOnly(model, grid64,
-                               GridOptions(damping=0.0, check_boundary=False, norm_tol=1.0))
+        stepper = LoweringOnly(model, grid64, GridOptions(damping=0.0))
         wave = initial_wave(EXCITED, grid64)
         dt, n_steps = 1e-3, 100
-        current = wave
-        for step in range(n_steps):
-            current = stepper.step(current, step * dt, dt)
+        _, ys = integrate(stepper.rhs, wave.values, TimeGrid(0.0, n_steps * dt, dt, n_steps),
+                          lambda step, t, psi: None)
+        current = ys[-1]
         t = n_steps * dt
         a_conj = np.conj(grid64.nodes())
         expected = np.empty_like(wave.values)
@@ -153,11 +164,11 @@ class TestGridStepper:
             for iy in range(grid64.M):
                 gen = -1j * t * a_conj[ix, iy] * model.j
                 expected[ix, iy] = expm(gen) @ wave.values[ix, iy]
-        assert np.max(np.abs(current.values - expected)) <= 1e-9
+        assert np.max(np.abs(current - expected)) <= 1e-9
         # real-axis row: pure phase rotation, pointwise modulus preserved
         iy0 = grid64.M // 2
         before = np.linalg.norm(wave.values[:, iy0], axis=1)
-        after = np.linalg.norm(current.values[:, iy0], axis=1)
+        after = np.linalg.norm(current[:, iy0], axis=1)
         np.testing.assert_allclose(after, before, atol=1e-10)
 
     def test_matches_bargmann_backend(self, grid64):
@@ -177,8 +188,14 @@ class TestGridStepper:
         grid = PhaseGrid(3.0, 32)
         wave = initial_wave(EXCITED, grid)
         tgrid = TimeGrid(0.0, np.pi, 1e-3 * np.pi, 1000)
-        with pytest.raises(RuntimeError, match="boundary"):
+        with pytest.raises(RuntimeError, match=r"boundary mass grew .*step \d+, t="):
             evolve_swe(model, wave, tgrid, GridOptions(norm_tol=1.0))
+
+    def test_probability_guard_names_step_and_time(self, grid64):
+        wave = initial_wave(EXCITED, grid64)
+        with pytest.raises(ValueError, match=r"total probability .* at step 1, t=0\.001"):
+            evolve_swe(two_level_model(g=1.0), wave, TimeGrid(0.0, 0.1, 1e-3),
+                       GridOptions(norm_tol=0.0))
 
     def test_finite_difference_switch(self, grid64):
         # second-order differences stay stable and roughly track spectral
@@ -253,6 +270,16 @@ class TestConditionalState:
         # the excited amplitude vanishes at the origin, so conditioning fails
         with pytest.raises(ValueError):
             conditional_state(wave, 0.0)
+
+    def test_refuses_points_off_the_grid(self, grid64):
+        wave = initial_wave(EXCITED, grid64)
+        # the nodes nearest these points lie on the grid's first and last rows
+        for a in (-5.0 + 4.9j, 4.9 - 5.0j):
+            np.testing.assert_allclose(conditional_state(wave, a).conditional_state, EXCITED,
+                                       atol=1e-12)
+        for a in (100.0, -5.1, 4.95j, 1.0 - 100j):
+            with pytest.raises(ValueError, match="outside the grid"):
+                conditional_state(wave, a)
 
 
 class TestExpectations:

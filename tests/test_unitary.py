@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
 
-from semicav.fockspace import CompositeSpace, FockBasis, coherent_amplitudes, number_operator
+from semicav.fockspace import (
+    CompositeSpace,
+    CompositeState,
+    FockBasis,
+    coherent_amplitudes,
+    number_operator,
+)
 from semicav.unitary import (
     AtomFieldModel,
     TimeGrid,
+    coupling_rhs,
     density_operator,
     evolve_unitary,
+    integrate,
     interaction_hamiltonian,
     product_initial_state,
     rotated_current,
-    spectral_norm_estimate,
     two_level_model,
 )
 
@@ -160,14 +167,43 @@ class TestEvolution:
         with pytest.raises(ValueError):
             evolve_unitary(model, psi0, TimeGrid(0.0, 1.0, 0.1))
 
-    def test_spectral_norm_estimate(self):
-        # 20 power iterations give a guard-grade estimate, not an eigensolve
+    def test_step_size_guard_threshold_is_exact(self):
+        # the guard compares dt against the exact spectral norm at t_start
+        model, space, psi0 = rabi_setup(g=10.0)
+        norm = np.linalg.norm(interaction_hamiltonian(model, 0.0, space), 2)
+        with pytest.raises(ValueError, match="reduce dt"):
+            evolve_unitary(model, psi0, TimeGrid(0.0, 1.0, 1.0 / np.floor(norm / 0.05)))
+        evolve_unitary(model, psi0, TimeGrid(0.0, 0.1, 0.1 / np.ceil(2.0 * norm), 1000))
+
+    def test_norm_guard_names_step_and_time(self):
         model, space, _ = rabi_setup()
-        h = interaction_hamiltonian(model, 0.0, space)
-        est = spectral_norm_estimate(h)
-        exact = np.linalg.norm(h, 2)
-        assert est <= exact + 1e-12
-        assert est == pytest.approx(exact, rel=0.05)
+        amps = np.zeros(space.total_dim, dtype=complex)
+        amps[0] = 1.0 + 1e-5
+        psi0 = CompositeState(space, amps, norm_tol=1e-4)
+        with pytest.raises(RuntimeError, match=r"norm drifted to .* at step 1, t=0\.01;"):
+            evolve_unitary(model, psi0, TimeGrid(0.0, 1.0, 0.01))
+
+
+class TestCouplingOde:
+    def test_matches_interaction_hamiltonian_on_three_levels(self, three_level_model):
+        model = three_level_model
+        space = CompositeSpace(3, FockBasis(6))
+        rhs = coupling_rhs(model, space.fock)
+        rng = np.random.default_rng(17)
+        Y = rng.normal(size=(3, 7)) + 1j * rng.normal(size=(3, 7))
+        for t in (0.0, 0.4, 1.7, 5.3):
+            expected = -1j * interaction_hamiltonian(model, t, space) @ Y.ravel()
+            assert np.max(np.abs(rhs(t, Y).ravel() - expected)) <= 1e-14
+
+    def test_integrate_samples_and_guards(self):
+        # dy/dt = y: RK4 samples track e^t; the guard sees every step
+        seen = []
+        times, ys = integrate(lambda t, y: y, np.ones(2), TimeGrid(0.0, 1.0, 0.01, 25),
+                              lambda step, t, y: seen.append((step, t)))
+        np.testing.assert_allclose(times, [0.0, 0.25, 0.5, 0.75, 1.0])
+        np.testing.assert_allclose([y[0] for y in ys], np.exp(times), rtol=1e-9)
+        assert [s for s, _ in seen] == list(range(1, 101))
+        assert seen[-1][1] == pytest.approx(1.0, abs=1e-15)
 
 
 class TestDensityOperator:
