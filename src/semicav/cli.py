@@ -60,8 +60,15 @@ class ScenarioConfig:
         if self.swe_backend not in ("bargmann", "grid"):
             raise ValueError(f"unknown backend {self.swe_backend!r}")
         for name in ("t_end", "dt", "L"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if self.sample_stride < 1:
+            raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
+        if self.sample_count is not None and self.sample_count < 1:
+            raise ValueError(f"sampling count must be >= 1, got {self.sample_count}")
+        # their constructors refuse n_max < 2 and M not a power of two >= 32
+        self.fock_basis()
+        self.phase_grid()
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
@@ -209,8 +216,8 @@ def cmd_rabi(config: ScenarioConfig) -> RunReport:
         amp = state.as_matrix()
         populations = [float(np.sum(np.abs(amp[i]) ** 2)) for i in range(d)]
         n_oracle = float(np.real(state.amplitudes.conj() @ (number_op @ state.amplitudes)))
-        comparison = swe.compare_to_oracle(wave, state, grid)
         gwave = swe.evaluate_on_grid(wave, grid) if wave.representation == "bargmann" else wave
+        comparison = swe.compare_to_oracle(gwave, state, grid)
         p_swe = [swe.swe_expectation(gwave, proj) for proj in projectors]
         n_swe = swe.swe_expectation(gwave, abs_sq) - 1.0
         report.rows.append({
@@ -364,14 +371,14 @@ def cmd_sample(config: ScenarioConfig, t: float, count: int | None = None,
     d = wave.atom_dim
     path = Path(config.output_dir) / f"samples_t{t:g}.csv"
     state_cols = [f"{part}_psi{i}" for i in range(d) for part in ("re", "im")]
-    rows = ((s.a.real, s.a.imag, *s.conditional_state.view(float)) for s in samples)
+    rows = zip(samples.a.real, samples.a.imag, *samples.conditional_state.view(float).T)
     _write_csv(path, {"kind": "samples", "time": t, "count": count, "seed": seed,
                       "L": config.L, "M": config.M},
                ["a_re", "a_im", *state_cols], rows)
     return path
 
 
-def _verify_identities(config: ScenarioConfig, kernel_width_scale: float = 1.0) -> list[dict]:
+def _verify_identities(config: ScenarioConfig) -> list[dict]:
     """Measured error and threshold for each cross-picture identity."""
     rng = np.random.default_rng(11)
     space = config.composite_space()
@@ -422,8 +429,7 @@ def _verify_identities(config: ScenarioConfig, kernel_width_scale: float = 1.0) 
     rho = np.outer(v, v.conj())
 
     # smoothing a sharp density must reproduce the coherent-state diagonal
-    kernel = phasespace.GaussianKernel.vacuum(grid, width_scale=kernel_width_scale,
-                                              validate=kernel_width_scale == 1.0)
+    kernel = phasespace.GaussianKernel.vacuum(grid)
     direct = phasespace.husimi_density(rho, space, grid)
     sharp = phasespace.sharp_density(rho, space, grid)
     smoothed = phasespace._convolve_with_kernel(sharp.values, grid, kernel)
@@ -467,7 +473,8 @@ def _verify_identities(config: ScenarioConfig, kernel_width_scale: float = 1.0) 
     tgrid = unitary.TimeGrid(0.0, n_steps * config.dt, config.dt, n_steps)
     state = unitary.evolve_unitary(config.model, _initial_composite(config), tgrid).states[-1]
     wave = _run_swe(config, tgrid)[-1]
-    comparison = swe.compare_to_oracle(wave, state, grid)
+    gwave = swe.evaluate_on_grid(wave, grid) if wave.representation == "bargmann" else wave
+    comparison = swe.compare_to_oracle(gwave, state, grid)
     if config.swe_backend == "bargmann":
         swe_threshold = 1e-7
     else:
@@ -476,7 +483,6 @@ def _verify_identities(config: ScenarioConfig, kernel_width_scale: float = 1.0) 
         swe_threshold = 1e-3 * oracle_max
     record("swe_density_equivalence", comparison.linf, swe_threshold)
 
-    gwave = swe.evaluate_on_grid(wave, grid) if wave.representation == "bargmann" else wave
     record("total_probability", abs(gwave.total_probability() - 1.0),
            max(1e-9, grid.tol) if config.swe_backend == "grid" else grid.tol)
 
@@ -490,9 +496,9 @@ def _verify_identities(config: ScenarioConfig, kernel_width_scale: float = 1.0) 
     return checks
 
 
-def cmd_verify(config: ScenarioConfig, kernel_width_scale: float = 1.0) -> tuple[int, dict]:
+def cmd_verify(config: ScenarioConfig) -> tuple[int, dict]:
     """Run the identity suite; exit status 0 iff every check passes."""
-    checks = _verify_identities(config, kernel_width_scale=kernel_width_scale)
+    checks = _verify_identities(config)
     report = {"all_pass": all(c["pass"] for c in checks), "checks": checks}
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

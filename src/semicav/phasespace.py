@@ -185,25 +185,17 @@ class GaussianKernel:
     values: np.ndarray
 
     @classmethod
-    def vacuum(cls, grid: PhaseGrid, width_scale: float = 1.0, validate: bool = True):
-        """Sample the kernel; ``width_scale`` rescales the noise amplitude.
-
-        ``width_scale != 1`` produces a deliberately wrong kernel (used as a
-        negative control in the verification pipeline) and requires
-        ``validate=False``.
-        """
+    def vacuum(cls, grid: PhaseGrid):
+        """Sample the kernel; refuse a grid on which its integral or second moment is off."""
         r2 = np.abs(grid.nodes()) ** 2
-        s2 = width_scale ** 2
-        values = (2.0 / (np.pi * s2)) * np.exp(-2.0 * r2 / s2)
-        kernel = cls(grid, values)
-        if validate:
-            total = np.sum(values) * grid.weight
-            if abs(total - 1.0) > grid.tol:
-                raise ValueError(f"kernel integral {total} deviates from 1")
-            second = np.sum(r2 * values) * grid.weight
-            if abs(second - 0.5) > grid.tol:
-                raise ValueError(f"kernel second moment {second} deviates from 1/2")
-        return kernel
+        values = (2.0 / np.pi) * np.exp(-2.0 * r2)
+        total = np.sum(values) * grid.weight
+        if abs(total - 1.0) > grid.tol:
+            raise ValueError(f"kernel integral {total} deviates from 1")
+        second = np.sum(r2 * values) * grid.weight
+        if abs(second - 0.5) > grid.tol:
+            raise ValueError(f"kernel second moment {second} deviates from 1/2")
+        return cls(grid, values)
 
 
 _PROBE_POINTS = np.array(
@@ -271,7 +263,7 @@ class SemiclassicalObservable:
             return None
         return max((j + k for j, k in self.poly), default=0)
 
-    def coarse_grained(self, kernel_moment_scale: float = 1.0):
+    def coarse_grained(self):
         """Average the polynomial form over vacuum noise.
 
         Cross-moments <a0^p a0*^q> of the kernel vanish except for p = q,
@@ -284,7 +276,7 @@ class SemiclassicalObservable:
         out: dict[tuple[int, int], complex] = {}
         for (j, k), c in self.poly.items():
             for p in range(min(j, k) + 1):
-                moment = factorial(p) * (kernel_moment_scale / 2.0) ** p
+                moment = factorial(p) * 0.5 ** p
                 key = (j - p, k - p)
                 out[key] = out.get(key, 0.0) + c * comb(j, p) * comb(k, p) * moment
         return SemiclassicalObservable.from_poly(out, atom_op=self.atom_op,
@@ -318,26 +310,29 @@ def superop_characteristic_function(rho: np.ndarray, lam: complex,
     return CharacteristicSample(lam, complex(np.trace(shifted)))
 
 
-def _chi_on_grid(block: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """tr(D(lam) block) for every lambda in an array, in closed form.
+def _chi_on_grid(blocks: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """tr(D(lam) B) for every lambda in an array and every block B, in closed form.
 
+    ``blocks`` has shape (n_max + 1, n_max + 1, *batch); the result has shape
+    lam.shape + batch. Each Laguerre term is evaluated once for all blocks.
     Uses the Laguerre form of the displacement matrix elements; exact on
     the truncated space because the ladder operators are nilpotent there.
     """
-    n_max = block.shape[0] - 1
+    n_max = blocks.shape[0] - 1
     absq = np.abs(lam) ** 2
     env = np.exp(-0.5 * absq)
-    chi = np.zeros(lam.shape, dtype=complex)
+    chi = np.zeros(lam.shape + blocks.shape[2:], dtype=complex)
+    batch = (...,) + (None,) * (blocks.ndim - 2)
     for m in range(n_max + 1):
         for n in range(m + 1):
             k = m - n
             ratio = np.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
-            common = ratio * env * eval_genlaguerre(n, k, absq)
+            common = (ratio * env * eval_genlaguerre(n, k, absq))[batch]
             if k == 0:
-                chi += block[n, m] * common
+                chi += blocks[n, m] * common
             else:
-                chi += common * (np.power(lam, k) * block[n, m]
-                                 + np.power(-np.conj(lam), k) * block[m, n])
+                chi += common * (np.power(lam, k)[batch] * blocks[n, m]
+                                 + np.power(-np.conj(lam), k)[batch] * blocks[m, n])
     return chi
 
 
@@ -345,12 +340,13 @@ def _invert_characteristic(chi: np.ndarray, grid: PhaseGrid) -> np.ndarray:
     """(1/pi^2) int e^{-lam a* + lam* a} chi(lam) d^2 lam on the paired grids.
 
     With a = x + iy and lam = u + iv the kernel is e^{2i(uy - vx)}; on the
-    centered grids this is exactly one forward and one inverse DFT.
+    centered grids this is exactly one forward and one inverse DFT over
+    axes 0 and 1, applied to every trailing batch index.
     """
     delta = np.pi / (grid.M * grid.h)
     t = sfft.fftshift(sfft.fft(sfft.ifftshift(chi, axes=1), axis=1), axes=1)
     w = sfft.fftshift(sfft.ifft(sfft.ifftshift(t, axes=0), axis=0), axes=0) * grid.M
-    return w.T * (delta ** 2 / np.pi ** 2)
+    return np.swapaxes(w, 0, 1) * (delta ** 2 / np.pi ** 2)
 
 
 def _check_grid_covers(w: np.ndarray, grid: PhaseGrid) -> None:
@@ -366,13 +362,13 @@ def _check_grid_covers(w: np.ndarray, grid: PhaseGrid) -> None:
 
 
 def wigner(rho_field: np.ndarray, grid: PhaseGrid) -> PhaseFunction:
-    """Wigner function of a field state by Fourier inversion of chi."""
+    """Wigner function of a field state: the sharp density of a one-level atom."""
     rho_field = np.asarray(rho_field, dtype=complex)
-    w = _invert_characteristic(_chi_on_grid(rho_field, grid.lambda_nodes()), grid)
+    space = CompositeSpace(1, FockBasis(rho_field.shape[0] - 1))
+    w = sharp_density(rho_field, space, grid).values[:, :, 0, 0]
     total = float(np.sum(w.real) * grid.weight)
     if not 0.99 <= total <= 1.01:
         raise ValueError(f"quadrature normalization {total}; grid too small for this state")
-    _check_grid_covers(w, grid)
     return PhaseFunction(grid, w.real, kind="wigner")
 
 
@@ -389,12 +385,8 @@ def sharp_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> Op
     d, nf = space.atom_dim, space.fock.dim
     if rho.shape != (space.total_dim, space.total_dim):
         raise ValueError(f"density operator has shape {rho.shape}")
-    rho4 = rho.reshape(d, nf, d, nf)
-    lam = grid.lambda_nodes()
-    values = np.empty((grid.M, grid.M, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            values[:, :, i, j] = _invert_characteristic(_chi_on_grid(rho4[i, :, j, :], lam), grid)
+    blocks = rho.reshape(d, nf, d, nf).transpose(1, 3, 0, 2)
+    values = _invert_characteristic(_chi_on_grid(blocks, grid.lambda_nodes()), grid)
     _check_grid_covers(np.einsum("xyii->xy", values), grid)
     return OperatorPhaseField(grid, values, kind="sharp")
 
@@ -403,17 +395,13 @@ def _convolve_with_kernel(values: np.ndarray, grid: PhaseGrid,
                           kernel: GaussianKernel) -> np.ndarray:
     """Circular FFT convolution with the sampled kernel, weight h^2."""
     kft = sfft.fft2(sfft.ifftshift(kernel.values))
-    if values.ndim == 2:
-        return sfft.ifft2(sfft.fft2(values) * kft) * grid.weight
     extra = (np.s_[:],) * 2 + (None,) * (values.ndim - 2)
     return sfft.ifft2(sfft.fft2(values, axes=(0, 1)) * kft[extra], axes=(0, 1)) * grid.weight
 
 
 def _boundary_mass(values: np.ndarray, grid: PhaseGrid) -> float:
     mask = grid.boundary_mask()
-    flat = np.abs(values[mask])
-    if flat.ndim > 1:
-        flat = flat.reshape(flat.shape[0], -1).max(axis=1)
+    flat = np.abs(values[mask]).reshape(np.count_nonzero(mask), -1).max(axis=1)
     return float(np.sum(flat) * grid.weight)
 
 
@@ -447,9 +435,9 @@ def coarse_grain(f, grid: PhaseGrid | None = None, kernel: GaussianKernel | None
     raise TypeError(f"cannot coarse-grain {type(f).__name__}")
 
 
-def _coherent_overlap_matrix(grid: PhaseGrid, n_max: int) -> np.ndarray:
-    """C[ix, iy, n] = <n|a> = exp(-|a|^2/2) a^n / sqrt(n!)."""
-    a = grid.nodes()[:, :, None]
+def _coherent_overlap_matrix(a: np.ndarray, n_max: int) -> np.ndarray:
+    """C[..., n] = <n|a> = exp(-|a|^2/2) a^n / sqrt(n!) at every point of ``a``."""
+    a = np.asarray(a)[..., None]
     n = np.arange(n_max + 1)
     return np.exp(-0.5 * np.abs(a) ** 2) * np.power(a, n) * np.exp(-0.5 * gammaln(n + 1))
 
@@ -468,7 +456,7 @@ def husimi_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> O
     if rho.shape != (space.total_dim, space.total_dim):
         raise ValueError(f"density operator has shape {rho.shape}")
     rho4 = rho.reshape(d, nf, d, nf)
-    C = _coherent_overlap_matrix(grid, space.fock.n_max)
+    C = _coherent_overlap_matrix(grid.nodes(), space.fock.n_max)
     vals = np.einsum("xym,imjn,xyn->xyij", C.conj(), rho4, C) / np.pi
     vals = 0.5 * (vals + vals.conj().transpose(0, 1, 3, 2))
     deficit = 1.0 - np.sum(np.abs(C) ** 2, axis=2)

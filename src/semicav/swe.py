@@ -11,7 +11,7 @@ is integrated by two independent backends:
   and step the coefficient vectors; multiplication by a* raises, the
   combination (a/2 + d/da*) lowers.
 * ``grid``: collocation on a PhaseGrid with the a*-derivative taken
-  spectrally (or by central finite differences behind an option).
+  spectrally.
 
 The grid backend needs stabilization: exact solutions have the rigid form
 e^{-|a|^2/2} f(a*) with f anti-holomorphic, and the flow linearized around
@@ -21,14 +21,15 @@ the transverse component: a radial low-pass filter on the derivative
 (physical states decay like e^{-k^2/2} in the conjugate variable, so a
 cutoff near 12 discards nothing measurable) and a penalty term
 -mu D+ D psi with D = d/da + a*/2, which annihilates the manifold exactly
-and damps every transverse mode at rate >= mu.
+and damps every transverse mode at rate >= mu. mu is 5 times the spectral
+norm of the current operator, which the interaction-picture rotation leaves
+invariant.
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.special import gammaln
 
 from semicav.fockspace import CompositeState, FockBasis
 from semicav.phasespace import (
@@ -37,10 +38,13 @@ from semicav.phasespace import (
     PhaseGrid,
     SemiclassicalObservable,
     _boundary_mass,
+    _coherent_overlap_matrix,
     husimi_density,
     phase_space_moment,
 )
 from semicav.unitary import AtomFieldModel, TimeGrid, coupling_rhs, integrate, rotated_current
+
+_K_CUT = 12.0  # radial low-pass of the spectral derivative, see the module docstring
 
 __all__ = [
     "SemiclassicalWave",
@@ -127,22 +131,13 @@ class FieldSample:
 
 @dataclass(frozen=True)
 class GridOptions:
-    """Tuning of the grid backend.
+    """Guards of the grid backend.
 
-    ``k_cut``: radial low-pass applied to the spectral derivative (None
-    disables). ``damping``: rate of the transverse-manifold penalty; None
-    selects 5 times the spectral norm of the current operator, which is
-    invariant under the interaction-picture rotation. ``finite_differences``
-    switches the a*-derivative to second-order central differences for
-    robustness comparisons. ``check_boundary`` enforces the boundary-mass
-    growth guard; disable it only for deliberate under-resolution studies.
-    ``norm_tol`` loosens the unit-probability invariant of produced waves
-    in the same situations.
+    ``check_boundary`` enforces the boundary-mass growth guard; disable it
+    only for deliberate under-resolution studies. ``norm_tol`` loosens the
+    unit-probability invariant of produced waves in the same situations.
     """
 
-    k_cut: float | None = 12.0
-    damping: float | None = None
-    finite_differences: bool = False
     check_boundary: bool = True
     norm_tol: float | None = None
 
@@ -184,25 +179,13 @@ class GridStepper:
         nodes = grid.nodes()
         self._a = nodes[:, :, None]
         self._ac = np.conj(nodes)[:, :, None]
-        mu = self.options.damping
-        if mu is None:
-            mu = 5.0 * float(np.linalg.norm(model.j, 2))
-        self.damping = mu
-        if not self.options.finite_differences:
-            k = 2.0 * np.pi * sfft.fftfreq(grid.M, d=grid.h)
-            kx = k[:, None]
-            ky = k[None, :]
-            keep = 1.0
-            if self.options.k_cut is not None:
-                keep = (kx ** 2 + ky ** 2 <= self.options.k_cut ** 2).astype(float)
-            self._s_dastar = (0.5 * (1j * kx - ky) * keep)[:, :, None]
-            self._s_da = (0.5 * (1j * kx + ky) * keep)[:, :, None]
-
-    def _derivatives_fd(self, psi):
-        h = self.grid.h
-        dx = (np.roll(psi, -1, axis=0) - np.roll(psi, 1, axis=0)) / (2.0 * h)
-        dy = (np.roll(psi, -1, axis=1) - np.roll(psi, 1, axis=1)) / (2.0 * h)
-        return 0.5 * (dx + 1j * dy), 0.5 * (dx - 1j * dy)
+        self.damping = 5.0 * float(np.linalg.norm(model.j, 2))
+        k = 2.0 * np.pi * sfft.fftfreq(grid.M, d=grid.h)
+        kx = k[:, None]
+        ky = k[None, :]
+        keep = (kx ** 2 + ky ** 2 <= _K_CUT ** 2).astype(float)
+        self._s_dastar = (0.5 * (1j * kx - ky) * keep)[:, :, None]
+        self._s_da = (0.5 * (1j * kx + ky) * keep)[:, :, None]
 
     def _coupling(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Current operator and its adjoint at a stage time (test seam)."""
@@ -211,22 +194,16 @@ class GridStepper:
 
     def rhs(self, t: float, psi: np.ndarray) -> np.ndarray:
         jt, jdt = self._coupling(t)
-        if self.options.finite_differences:
-            dstar, da = self._derivatives_fd(psi)
-        else:
-            ft = sfft.fft2(psi, axes=(0, 1))
-            both = sfft.ifft2(np.concatenate((self._s_dastar * ft, self._s_da * ft), axis=2),
-                              axes=(0, 1))
-            d = psi.shape[2]
-            dstar, da = both[:, :, :d], both[:, :, d:]
+        ft = sfft.fft2(psi, axes=(0, 1))
+        both = sfft.ifft2(np.concatenate((self._s_dastar * ft, self._s_da * ft), axis=2),
+                          axes=(0, 1))
+        d = psi.shape[2]
+        dstar, da = both[:, :, :d], both[:, :, d:]
         out = -1j * (self._ac * (psi @ jt.T) + 0.5 * self._a * (psi @ jdt.T)
                      + dstar @ jdt.T)
         if self.damping:
             v = da + 0.5 * self._ac * psi
-            if self.options.finite_differences:
-                dstar_v, _ = self._derivatives_fd(v)
-            else:
-                dstar_v = sfft.ifft2(self._s_dastar * sfft.fft2(v, axes=(0, 1)), axes=(0, 1))
+            dstar_v = sfft.ifft2(self._s_dastar * sfft.fft2(v, axes=(0, 1)), axes=(0, 1))
             out -= self.damping * (-dstar_v + 0.5 * self._a * v)
         return out
 
@@ -300,19 +277,16 @@ def evolve_swe(model: AtomFieldModel, wave: SemiclassicalWave, tgrid: TimeGrid,
                      for t, Y in zip(times[1:], ys[1:])]
 
 
-def _basis_matrix(grid: PhaseGrid, n_max: int) -> np.ndarray:
-    """B[ix, iy, n] = e^{-|a|^2/2} (a*)^n / sqrt(pi n!): orthonormal under dx dy."""
-    ac = np.conj(grid.nodes())[:, :, None]
-    n = np.arange(n_max + 1)
-    return (np.exp(-0.5 * np.abs(ac) ** 2) * np.power(ac, n)
-            * np.exp(-0.5 * gammaln(n + 1)) / np.sqrt(np.pi))
+def _basis_matrix(a: np.ndarray, n_max: int) -> np.ndarray:
+    """B[..., n] = e^{-|a|^2/2} (a*)^n / sqrt(pi n!) at every point: orthonormal under dx dy."""
+    return np.conj(_coherent_overlap_matrix(a, n_max)) / np.sqrt(np.pi)
 
 
 def evaluate_on_grid(wave: SemiclassicalWave, grid: PhaseGrid) -> SemiclassicalWave:
     """Sum the coefficient expansion at every node."""
     if wave.representation != "bargmann":
         raise ValueError("evaluate_on_grid expects a bargmann wave")
-    B = _basis_matrix(grid, wave.basis.n_max)
+    B = _basis_matrix(grid.nodes(), wave.basis.n_max)
     values = np.einsum("xyn,nd->xyd", B, wave.coeffs)
     return SemiclassicalWave("grid", time=wave.time, grid=grid, values=values,
                              norm_tol=max(grid.tol, wave.norm_tol or 0.0))
@@ -322,7 +296,7 @@ def project_to_coefficients(wave: SemiclassicalWave, basis: FockBasis) -> Semicl
     """Quadrature projection of a grid wave onto the coefficient basis."""
     if wave.representation != "grid":
         raise ValueError("project_to_coefficients expects a grid wave")
-    B = _basis_matrix(wave.grid, basis.n_max)
+    B = _basis_matrix(wave.grid.nodes(), basis.n_max)
     coeffs = np.einsum("xyn,xyd->nd", B.conj(), wave.values) * wave.grid.weight
     return SemiclassicalWave("bargmann", time=wave.time, basis=basis, coeffs=coeffs,
                              norm_tol=max(1e-10, wave.grid.tol, wave.norm_tol or 0.0))
@@ -340,10 +314,7 @@ def field_density(wave: SemiclassicalWave, grid: PhaseGrid | None = None) -> Pha
 
 def _evaluate_at_point(wave: SemiclassicalWave, a: complex) -> np.ndarray:
     if wave.representation == "bargmann":
-        n = np.arange(wave.basis.dim)
-        basis_vals = (np.exp(-0.5 * abs(a) ** 2) * np.power(np.conj(a), n)
-                      * np.exp(-0.5 * gammaln(n + 1)) / np.sqrt(np.pi))
-        return basis_vals @ wave.coeffs
+        return _basis_matrix(a, wave.basis.n_max) @ wave.coeffs
     grid = wave.grid
     ix, iy = (int(np.round((part + grid.L) / grid.h)) for part in (a.real, a.imag))
     if not (0 <= ix < grid.M and 0 <= iy < grid.M):
@@ -379,12 +350,14 @@ def swe_expectation(wave: SemiclassicalWave, F: SemiclassicalObservable,
     return float(np.real(np.sum(sym * dens)) * wave.grid.weight)
 
 
-def sample_field(wave: SemiclassicalWave, count: int, seed: int) -> list[FieldSample]:
+def sample_field(wave: SemiclassicalWave, count: int, seed: int) -> np.recarray:
     """Draw field values from ||psi(a)||^2 by inverse-CDF on the grid density.
 
     The discretized density is treated as a categorical distribution over
     grid nodes, factorized into the marginal along Re a and the conditional
-    along Im a. Fixed seed gives an identical sample sequence.
+    along Im a. Fixed seed gives an identical sample sequence. Returns
+    records with fields ``a`` (complex) and ``conditional_state`` (complex,
+    shape (d,)), each state checked to unit norm within 1e-12.
     """
     if wave.representation != "grid":
         raise ValueError("sampling requires the grid representation")
@@ -405,12 +378,15 @@ def sample_field(wave: SemiclassicalWave, count: int, seed: int) -> list[FieldSa
         cond /= cond[-1]
         cols[sel] = np.clip(np.searchsorted(cond, u[sel, 1], side="left"), 0, wave.grid.M - 1)
     x = wave.grid.axis()
-    out = []
-    for ix, iy in zip(rows, cols):
-        vec = wave.values[ix, iy]
-        out.append(FieldSample(a=complex(x[ix], x[iy]),
-                               conditional_state=vec / np.linalg.norm(vec)))
-    return out
+    vecs = wave.values[rows, cols]
+    # the per-vector arithmetic of np.linalg.norm, row by row
+    states = vecs / np.sqrt(np.vecdot(vecs.real, vecs.real)
+                            + np.vecdot(vecs.imag, vecs.imag))[:, None]
+    deviation = np.abs(np.linalg.norm(states, axis=1) - 1.0)
+    if not np.all(deviation <= 1e-12):
+        raise ValueError(f"conditional state norm deviates from 1 by {np.max(deviation)}")
+    return np.rec.fromarrays([x[rows] + 1j * x[cols], states],
+                             dtype=[("a", complex), ("conditional_state", complex, (wave.atom_dim,))])
 
 
 @dataclass

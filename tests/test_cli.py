@@ -19,7 +19,7 @@ from semicav.cli import (
     write_wave_csv,
 )
 from semicav.fockspace import CompositeSpace, FockBasis
-from semicav.phasespace import PhaseGrid, husimi_density, husimi_function
+from semicav.phasespace import GaussianKernel, PhaseGrid, husimi_density, husimi_function
 from semicav.swe import initial_wave
 from semicav.unitary import AtomFieldModel
 
@@ -91,6 +91,20 @@ class TestConfig:
     def test_backend_validation(self, tmp_path):
         with pytest.raises(ValueError):
             small_config(tmp_path, swe_backend="magnus")
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"fock": {"n_max": 1}}, "n_max must be >= 2"),
+        ({"grid": {"L": 5.0, "M": 100}}, "power of two"),
+        ({"grid": {"L": -2.0, "M": 64}}, "L must be positive"),
+        ({"time": {"t_end": 0.5, "dt": -1.0, "sample_stride": 100}}, "dt must be positive"),
+        ({"time": {"t_end": 0.5, "dt": 0.0, "sample_stride": 100}}, "dt must be positive"),
+        ({"time": {"t_end": -1.0, "dt": 1e-3, "sample_stride": 100}}, "t_end must be positive"),
+        ({"time": {"t_end": 0.5, "dt": 1e-3, "sample_stride": 0}}, "sample_stride"),
+        ({"sampling": {"count": 0, "seed": 1}}, "sampling count"),
+    ])
+    def test_invalid_values_are_refused_at_load(self, tmp_path, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            small_config(tmp_path, **overrides)
 
     def test_from_file(self, tmp_path):
         config = small_config(tmp_path)
@@ -219,9 +233,16 @@ class TestVerifyCommand:
         assert status == 0, [c for c in report["checks"] if not c["pass"]]
         assert len(report["checks"]) == 10
 
-    def test_corrupted_kernel_is_detected(self, tmp_path):
+    def test_corrupted_kernel_is_detected(self, tmp_path, monkeypatch):
+        def too_wide(grid):
+            # unvalidated kernel with 1.2 times the vacuum noise amplitude
+            s2 = 1.2 ** 2
+            r2 = np.abs(grid.nodes()) ** 2
+            return GaussianKernel(grid, (2.0 / (np.pi * s2)) * np.exp(-2.0 * r2 / s2))
+
+        monkeypatch.setattr(GaussianKernel, "vacuum", staticmethod(too_wide))
         config = small_config(tmp_path, fock={"n_max": 8})
-        status, report = cmd_verify(config, kernel_width_scale=1.2)
+        status, report = cmd_verify(config)
         assert status == 1
         failed = {c["name"] for c in report["checks"] if not c["pass"]}
         assert failed == {"husimi_two_routes"}

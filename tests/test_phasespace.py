@@ -232,9 +232,8 @@ class TestCoarseGrain:
         r2 = np.abs(default_grid.nodes()) ** 2
         assert np.sum(kernel.values) * default_grid.weight == pytest.approx(1.0, abs=1e-4)
         assert np.sum(r2 * kernel.values) * default_grid.weight == pytest.approx(0.5, abs=1e-4)
-        with pytest.raises(ValueError):
-            GaussianKernel.vacuum(default_grid, width_scale=1.3)
-        GaussianKernel.vacuum(default_grid, width_scale=1.3, validate=False)
+        with pytest.raises(ValueError, match="kernel integral"):
+            GaussianKernel.vacuum(PhaseGrid(0.5, 32))
 
 
 class TestHusimi:

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from semicav.fockspace import CompositeSpace, FockBasis
+from semicav.fockspace import CompositeSpace, FockBasis, coherent_amplitudes
 from semicav.phasespace import PhaseGrid, SemiclassicalObservable
 from semicav.swe import (
-    FieldSample,
     GridOptions,
     GridStepper,
     SemiclassicalWave,
@@ -151,7 +150,8 @@ class TestGridStepper:
 
         # no derivative term survives, so the transverse damping is moot;
         # switching it off makes the node-local closed form exact
-        stepper = LoweringOnly(model, grid64, GridOptions(damping=0.0))
+        stepper = LoweringOnly(model, grid64)
+        stepper.damping = 0.0
         wave = initial_wave(EXCITED, grid64)
         dt, n_steps = 1e-3, 100
         _, ys = integrate(stepper.rhs, wave.values, TimeGrid(0.0, n_steps * dt, dt, n_steps),
@@ -197,14 +197,10 @@ class TestGridStepper:
             evolve_swe(two_level_model(g=1.0), wave, TimeGrid(0.0, 0.1, 1e-3),
                        GridOptions(norm_tol=0.0))
 
-    def test_finite_difference_switch(self, grid64):
-        # second-order differences stay stable and roughly track spectral
+    def test_spectral_matches_analytic_wave(self, grid64):
         model = two_level_model(g=1.0)
         tgrid = TimeGrid(0.0, 0.5, 1e-3, 500)
-        fd = evolve_swe(model, initial_wave(EXCITED, grid64), tgrid,
-                        GridOptions(finite_differences=True, norm_tol=1e-2))
         exact = analytic_rabi_wave(grid64, 0.5)
-        assert np.max(np.abs(fd[-1].values - exact)) <= 5e-2
         spectral = evolve_swe(model, initial_wave(EXCITED, grid64), tgrid)
         assert np.max(np.abs(spectral[-1].values - exact)) <= 1e-4
 
@@ -326,9 +322,46 @@ class TestSampling:
 
     def test_conditional_states_attached(self, grid64):
         wave = initial_wave(EXCITED, grid64)
-        for sample in sample_field(wave, 50, seed=0):
-            assert isinstance(sample, FieldSample)
-            np.testing.assert_allclose(sample.conditional_state, EXCITED, atol=1e-12)
+        samples = sample_field(wave, 50, seed=0)
+        assert samples.a.shape == (50,) and samples.a.dtype == complex
+        assert samples.conditional_state.shape == (50, 2)
+        np.testing.assert_allclose(samples.conditional_state, np.tile(EXCITED, (50, 1)),
+                                   atol=1e-12)
+        for a, state in zip(samples.a, samples.conditional_state):
+            np.testing.assert_array_equal(state, conditional_state(wave, a).conditional_state)
+
+
+class TestJaynesCummingsReference:
+    """Collapse and revival from a coherent field, against the closed-form series.
+
+    With the atom excited and field amplitudes c_n at resonance,
+    P_e(t) = sum_n |c_n|^2 cos^2(g sqrt(n+1) t), independent of either solver.
+    """
+
+    @pytest.mark.parametrize("solver", ["oracle", "coefficient"])
+    def test_excited_population_matches_series(self, solver):
+        basis = FockBasis(30)
+        c = coherent_amplitudes(np.sqrt(5.0), basis)
+        model = two_level_model(g=1.0)
+        tgrid = TimeGrid(0.0, 16.0, 2.5e-3, 40)
+        if solver == "oracle":
+            space = CompositeSpace(2, basis)
+            run = evolve_unitary(model, product_initial_state(EXCITED, c, space), tgrid)
+            times = run.times
+            p_e = np.array([np.sum(np.abs(state.as_matrix()[0]) ** 2) for state in run.states])
+        else:
+            wave = SemiclassicalWave("bargmann", time=0.0, basis=basis,
+                                     coeffs=np.outer(c, EXCITED))
+            waves = evolve_swe(model, wave, tgrid)
+            times = np.array([w.time for w in waves])
+            p_e = np.array([np.sum(np.abs(w.coeffs[:, 0]) ** 2) for w in waves])
+        n = np.arange(basis.dim)
+        series = np.cos(np.sqrt(n + 1)[None, :] * times[:, None]) ** 2 @ np.abs(c) ** 2
+        assert len(times) == 161
+        assert np.max(np.abs(p_e - series)) <= 1e-8
+        collapse = (times >= 4.0) & (times <= 8.0)
+        assert np.all((p_e[collapse] >= 0.45) & (p_e[collapse] <= 0.55))
+        assert np.max(p_e[(times >= 12.0) & (times <= 16.0)]) > 0.75
 
 
 class TestOracleComparison:
