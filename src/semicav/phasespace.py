@@ -323,16 +323,18 @@ def _chi_on_grid(blocks: np.ndarray, lam: np.ndarray) -> np.ndarray:
     env = np.exp(-0.5 * absq)
     chi = np.zeros(lam.shape + blocks.shape[2:], dtype=complex)
     batch = (...,) + (None,) * (blocks.ndim - 2)
-    for m in range(n_max + 1):
-        for n in range(m + 1):
-            k = m - n
+    for k in range(n_max + 1):
+        # one pair of powers per diagonal k = m - n; caching all of them costs O(n_max M^2)
+        if k:
+            up, down = np.power(lam, k)[batch], np.power(-np.conj(lam), k)[batch]
+        for n in range(n_max + 1 - k):
+            m = n + k
             ratio = np.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
             common = (ratio * env * eval_genlaguerre(n, k, absq))[batch]
             if k == 0:
                 chi += blocks[n, m] * common
             else:
-                chi += common * (np.power(lam, k)[batch] * blocks[n, m]
-                                 + np.power(-np.conj(lam), k)[batch] * blocks[m, n])
+                chi += common * (up * blocks[n, m] + down * blocks[m, n])
     return chi
 
 

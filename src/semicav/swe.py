@@ -213,11 +213,11 @@ def _coefficient_guard(wave: SemiclassicalWave):
     tol = wave.norm_tol if wave.norm_tol is not None else 1e-10
 
     def guard(step, t, Y):
-        top = float(np.sum(np.abs(Y[:, -1]) ** 2))
+        top = float(np.vdot(Y[:, -1], Y[:, -1]).real)
         if top > 1e-8:
             raise RuntimeError(f"probability {top} at the truncation edge at step {step}, "
                                f"t={t}; raise n_max")
-        total = float(np.sum(np.abs(Y) ** 2))
+        total = float(np.vdot(Y, Y).real)
         if abs(total - 1.0) > tol:
             raise ValueError(f"total probability {total} deviates from 1 beyond {tol} "
                              f"at step {step}, t={t}")

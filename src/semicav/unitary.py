@@ -15,7 +15,11 @@ from semicav.fockspace import CompositeSpace, CompositeState, FockBasis, annihil
 
 @dataclass
 class AtomFieldModel:
-    """Atomic Hamiltonian, current operator and mode frequency (hbar = 1)."""
+    """Atomic Hamiltonian, current operator and mode frequency (hbar = 1).
+
+    The eigenbasis tables of ``rotated_current`` are built at construction,
+    so the fields are not to be changed afterwards.
+    """
 
     atom_dim: int
     h_ato: np.ndarray
@@ -32,9 +36,12 @@ class AtomFieldModel:
             raise ValueError("h_ato is not Hermitian within 1e-12")
         if self.omega < 0:
             raise ValueError(f"omega must be >= 0, got {self.omega}")
-        evals, evecs = np.linalg.eigh(self.h_ato)
-        self._evals = evals
-        self._evecs = evecs
+        # in the eigenbasis of H, j(t) is elementwise e^{i(E_m - E_n + omega) t} (V+ J V)_mn;
+        # flattened and mapped back, j(t) = _rot @ exp(i _bohr t)
+        evals, V = np.linalg.eigh(self.h_ato)
+        self._bohr = (evals[:, None] - evals[None, :] + self.omega).ravel()
+        self._rot = np.einsum("am,mn,bn->abmn", V, V.conj().T @ self.j @ V,
+                              V.conj()).reshape(d * d, d * d)
 
 
 def two_level_model(g: float, detuning: float = 0.0, omega: float = 1.0) -> AtomFieldModel:
@@ -87,11 +94,9 @@ class Trajectory:
 
 
 def rotated_current(model: AtomFieldModel, t: float) -> np.ndarray:
-    """j(t) = e^{i omega t} e^{i H t} J e^{-i H t} via the eigendecomposition of H."""
-    phase = np.exp(1j * model._evals * t)
-    V = model._evecs
-    rot = V @ (phase[:, None] * (V.conj().T @ model.j @ V) * np.conj(phase)[None, :]) @ V.conj().T
-    return np.exp(1j * model.omega * t) * rot
+    """j(t) = e^{i omega t} e^{i H t} J e^{-i H t}: the Bohr phases mapped back by ``_rot``."""
+    d = model.atom_dim
+    return (model._rot @ np.exp(1j * model._bohr * t)).reshape(d, d)
 
 
 def interaction_hamiltonian(model: AtomFieldModel, t: float, space: CompositeSpace) -> np.ndarray:
@@ -163,13 +168,23 @@ def coupling_rhs(model: AtomFieldModel,
     This is -i H_I(t) psi with psi = Y.ravel() (atom index first), without
     building the composite Hamiltonian. Read with F = Y^T it is the
     coefficient equation i dF_n/dt = sqrt(n) j F_{n-1} + sqrt(n+1) j+ F_{n+1}.
+
+    S = -i [j(t); j+(t)] is kept for the last stage time only: RK4's midpoint
+    stages share a time, and the end stage often equals the next step's start.
     """
     a = annihilation(basis)
     a_t, a_dag_t = a.T, a.conj()
+    d = model.atom_dim
+    last_t, S = None, None
 
     def rhs(t: float, Y: np.ndarray) -> np.ndarray:
-        jt = rotated_current(model, t)
-        return -1j * (jt @ Y @ a_dag_t + jt.conj().T @ Y @ a_t)
+        nonlocal last_t, S
+        if t != last_t:
+            jt = rotated_current(model, t)
+            S = -1j * np.concatenate((jt, jt.conj().T))
+            last_t = t
+        JY = S @ Y
+        return JY[:d] @ a_dag_t + JY[d:] @ a_t
 
     return rhs
 
@@ -187,7 +202,7 @@ def evolve_unitary(model: AtomFieldModel, psi0: CompositeState, grid: TimeGrid) 
         raise ValueError("dt * ||H_I|| exceeds 0.05; reduce dt")
 
     def guard(step, t, Y):
-        nrm = np.linalg.norm(Y)
+        nrm = np.sqrt(np.vdot(Y, Y).real)
         if abs(nrm - 1.0) > 1e-6:
             raise RuntimeError(f"norm drifted to {nrm} at step {step}, t={t}; "
                                "dt too large or basis too small")

@@ -334,15 +334,22 @@ class TestSampling:
 class TestJaynesCummingsReference:
     """Collapse and revival from a coherent field, against the closed-form series.
 
-    With the atom excited and field amplitudes c_n at resonance,
-    P_e(t) = sum_n |c_n|^2 cos^2(g sqrt(n+1) t), independent of either solver.
+    With the atom excited, field amplitudes c_n and detuning D,
+    P_e(t) = sum_n |c_n|^2 [1 - (4 g^2 (n+1) / W_n^2) sin^2(W_n t / 2)] with
+    W_n = sqrt(D^2 + 4 g^2 (n+1)), independent of either solver; at resonance
+    this is sum_n |c_n|^2 cos^2(g sqrt(n+1) t). The detuned case exercises
+    non-zero Bohr phases in j(t).
     """
 
-    @pytest.mark.parametrize("solver", ["oracle", "coefficient"])
-    def test_excited_population_matches_series(self, solver):
+    @pytest.mark.parametrize("solver,detuning", [("oracle", 0.0), ("coefficient", 0.0),
+                                                 ("oracle", 1.5), ("coefficient", 1.5)],
+                             ids=["oracle", "coefficient", "oracle-detuned",
+                                  "coefficient-detuned"])
+    def test_excited_population_matches_series(self, solver, detuning):
+        g = 1.0
         basis = FockBasis(30)
         c = coherent_amplitudes(np.sqrt(5.0), basis)
-        model = two_level_model(g=1.0)
+        model = two_level_model(g=g, detuning=detuning)
         tgrid = TimeGrid(0.0, 16.0, 2.5e-3, 40)
         if solver == "oracle":
             space = CompositeSpace(2, basis)
@@ -355,12 +362,16 @@ class TestJaynesCummingsReference:
             waves = evolve_swe(model, wave, tgrid)
             times = np.array([w.time for w in waves])
             p_e = np.array([np.sum(np.abs(w.coeffs[:, 0]) ** 2) for w in waves])
-        n = np.arange(basis.dim)
-        series = np.cos(np.sqrt(n + 1)[None, :] * times[:, None]) ** 2 @ np.abs(c) ** 2
+        weight = 4.0 * g ** 2 * (np.arange(basis.dim) + 1)
+        rabi = np.sqrt(detuning ** 2 + weight)
+        series = (1.0 - (weight / rabi ** 2)[None, :]
+                  * np.sin(0.5 * rabi[None, :] * times[:, None]) ** 2) @ np.abs(c) ** 2
         assert len(times) == 161
         assert np.max(np.abs(p_e - series)) <= 1e-8
+        # the collapse settles at the time average of the series (1/2 at resonance)
+        plateau = np.abs(c) ** 2 @ (1.0 - 0.5 * weight / rabi ** 2)
         collapse = (times >= 4.0) & (times <= 8.0)
-        assert np.all((p_e[collapse] >= 0.45) & (p_e[collapse] <= 0.55))
+        assert np.all(np.abs(p_e[collapse] - plateau) <= 0.05)
         assert np.max(p_e[(times >= 12.0) & (times <= 16.0)]) > 0.75
 
 

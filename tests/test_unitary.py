@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from semicav.fockspace import (
     CompositeSpace,
@@ -50,6 +51,14 @@ class TestRotatedCurrent:
         for t in (0.2, 1.0, 3.7):
             expected = g * np.exp(-1j * detuning * t) * SIGMA_MINUS
             np.testing.assert_allclose(rotated_current(model, t), expected, atol=1e-12)
+
+    def test_matches_matrix_exponentials_on_three_levels(self, three_level_model):
+        # non-diagonal H_ato: the eigenvector matrix is not a permutation
+        model = three_level_model
+        for t in (0.3, 1.7, 5.3, 40.0):
+            expected = (np.exp(1j * model.omega * t) * expm(1j * model.h_ato * t) @ model.j
+                        @ expm(-1j * model.h_ato * t))
+            assert np.max(np.abs(rotated_current(model, t) - expected)) <= 1e-12
 
     def test_resonant_case_is_static(self):
         model = two_level_model(g=1.3)
@@ -194,6 +203,12 @@ class TestCouplingOde:
         for t in (0.0, 0.4, 1.7, 5.3):
             expected = -1j * interaction_hamiltonian(model, t, space) @ Y.ravel()
             assert np.max(np.abs(rhs(t, Y).ravel() - expected)) <= 1e-14
+        # j(t) is remembered per stage time: interleaved times and states must not mix
+        Y2 = rng.normal(size=(3, 7)) + 1j * rng.normal(size=(3, 7))
+        t1, t2 = 0.9, 2.6
+        for t, Yk in ((t1, Y), (t1, Y2), (t2, Y), (t1, Y)):
+            expected = -1j * interaction_hamiltonian(model, t, space) @ Yk.ravel()
+            assert np.max(np.abs(rhs(t, Yk).ravel() - expected)) <= 1e-14
 
     def test_integrate_samples_and_guards(self):
         # dy/dt = y: RK4 samples track e^t; the guard sees every step
