@@ -475,12 +475,7 @@ def _verify_identities(config: ScenarioConfig) -> list[dict]:
     wave = _run_swe(config, tgrid)[-1]
     gwave = swe.evaluate_on_grid(wave, grid) if wave.representation == "bargmann" else wave
     comparison = swe.compare_to_oracle(gwave, state, grid)
-    if config.swe_backend == "bargmann":
-        swe_threshold = 1e-7
-    else:
-        oracle_max = float(np.max(np.abs(
-            phasespace.husimi_density(unitary.density_operator(state), space, grid).values)))
-        swe_threshold = 1e-3 * oracle_max
+    swe_threshold = 1e-7 if config.swe_backend == "bargmann" else 1e-3 * comparison.oracle_max
     record("swe_density_equivalence", comparison.linf, swe_threshold)
 
     record("total_probability", abs(gwave.total_probability() - 1.0),

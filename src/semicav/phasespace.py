@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 import scipy.fft as sfft
 from scipy.linalg import expm
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import gammaln
 
 from semicav.fockspace import (
     CompositeSpace,
@@ -35,6 +35,14 @@ from semicav.fockspace import (
 # Spacing of the reference grid (L=5, M=128) at which the consistency
 # tolerance below equals 1e-4.
 _REFERENCE_H = 5.0 / 64.0
+
+# Real multiply-adds per GEMM in _chi_on_grid and husimi_density, which
+# sets how many points one block holds. OpenBLAS runs a GEMM this small on
+# the calling thread. Larger ones at these shapes woke its second thread,
+# which doubled the kernels' CPU time, saved no wall time, and for about
+# 0.1 s after each call halved the speed of the small matrix products the
+# grid backend runs. The per-block scratch stays below 1 MB.
+_GEMM_MACS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -314,28 +322,52 @@ def _chi_on_grid(blocks: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """tr(D(lam) B) for every lambda in an array and every block B, in closed form.
 
     ``blocks`` has shape (n_max + 1, n_max + 1, *batch); the result has shape
-    lam.shape + batch. Each Laguerre term is evaluated once for all blocks.
-    Uses the Laguerre form of the displacement matrix elements; exact on
-    the truncated space because the ladder operators are nilpotent there.
+    lam.shape + batch. Uses the Laguerre form of the displacement matrix
+    elements, sqrt(n!/m!) lam^k e^{-|lam|^2/2} L_n^(k)(|lam|^2) with k = m - n
+    (and (-lam*)^k for the transposed element); exact on the truncated space
+    because the ladder operators are nilpotent there.
+
+    Per diagonal k, the columns e^{-x/2} L_n^(k)(x), n = 0..n_max-k, come
+    from the three-term recurrence in n started at the envelope, and one
+    real GEMM contracts them with the real and imaginary parts of the
+    (n, n+k) and (n+k, n) elements of every block. Lambda is processed in
+    blocks sized by _GEMM_MACS.
     """
     n_max = blocks.shape[0] - 1
-    absq = np.abs(lam) ** 2
-    env = np.exp(-0.5 * absq)
-    chi = np.zeros(lam.shape + blocks.shape[2:], dtype=complex)
-    batch = (...,) + (None,) * (blocks.ndim - 2)
-    for k in range(n_max + 1):
-        # one pair of powers per diagonal k = m - n; caching all of them costs O(n_max M^2)
-        if k:
-            up, down = np.power(lam, k)[batch], np.power(-np.conj(lam), k)[batch]
-        for n in range(n_max + 1 - k):
-            m = n + k
-            ratio = np.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
-            common = (ratio * env * eval_genlaguerre(n, k, absq))[batch]
+    nb = int(np.prod(blocks.shape[2:], dtype=int))
+    n = np.arange(n_max + 1)
+    lo, hi = np.minimum.outer(n, n), np.maximum.outer(n, n)
+    scaled = np.asarray(blocks, dtype=complex).reshape(n_max + 1, n_max + 1, nb) \
+        * np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1)))[:, :, None]
+    # rows n, columns Re/Im of the (n, n+k) elements, then of the (n+k, n) ones for k > 0
+    diagonals = [np.diagonal(scaled, 0).T.copy().view(float)]
+    diagonals += [np.concatenate((np.diagonal(scaled, k).T, np.diagonal(scaled, -k).T),
+                                 axis=1).view(float) for k in range(1, n_max + 1)]
+    lam_flat = lam.ravel()
+    chi = np.empty((lam_flat.size, nb), dtype=complex)
+    size = max(1, _GEMM_MACS // ((n_max + 1) * 4 * nb))
+    for start in range(0, lam_flat.size, size):
+        z = lam_flat[start:start + size]
+        x = z.real ** 2 + z.imag ** 2
+        env = np.exp(-0.5 * x)
+        lag = np.empty((n_max + 1, z.size))
+        acc = chi[start:start + z.size]
+        up, down = np.ones_like(z), np.ones_like(z)
+        for k, cols in enumerate(diagonals):
+            rows = n_max + 1 - k
+            lag[0] = env
+            if rows > 1:
+                lag[1] = (1 + k - x) * env
+            for j in range(1, rows - 1):
+                lag[j + 1] = ((2 * j + 1 + k - x) * lag[j] - (j + k) * lag[j - 1]) / (j + 1)
+            terms = (lag[:rows].T @ cols).view(complex)
             if k == 0:
-                chi += blocks[n, m] * common
+                acc[:] = terms
             else:
-                chi += common * (up * blocks[n, m] + down * blocks[m, n])
-    return chi
+                up *= z
+                down *= -z.conj()
+                acc += up[:, None] * terms[:, :nb] + down[:, None] * terms[:, nb:]
+    return chi.reshape(lam.shape + blocks.shape[2:])
 
 
 def _invert_characteristic(chi: np.ndarray, grid: PhaseGrid) -> np.ndarray:
@@ -452,17 +484,36 @@ def husimi_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> O
     misses more than 1e-10 of its weight are flagged in
     ``truncation_flags``: values there are exact for states inside the
     truncated space but do not approximate any higher-occupation physics.
+
+    Each block of nodes, sized by _GEMM_MACS, is one real GEMM of the
+    conjugate overlaps with rho (field index m first) followed by a
+    contraction with the overlaps over n, so the (M, M, n_max + 1) overlap
+    is never built.
     """
     rho = np.asarray(rho, dtype=complex)
     d, nf = space.atom_dim, space.fock.dim
     if rho.shape != (space.total_dim, space.total_dim):
         raise ValueError(f"density operator has shape {rho.shape}")
-    rho4 = rho.reshape(d, nf, d, nf)
-    C = _coherent_overlap_matrix(grid.nodes(), space.fock.n_max)
-    vals = np.einsum("xym,imjn,xyn->xyij", C.conj(), rho4, C) / np.pi
+    rho_m = rho.reshape(d, nf, d, nf).transpose(1, 0, 2, 3).reshape(nf, d * d * nf)
+    # (C.view(float) @ rho_real).view(complex) == C.conj() @ rho_m
+    rho_real = np.empty((2 * nf, 2 * d * d * nf))
+    rho_real[0::2, 0::2], rho_real[1::2, 0::2] = rho_m.real, rho_m.imag
+    rho_real[0::2, 1::2], rho_real[1::2, 1::2] = rho_m.imag, -rho_m.real
+    nodes = grid.nodes()
+    points = nodes.ravel()
+    vals = np.empty((points.size, d * d), dtype=complex)
+    deficit = np.empty(points.size)
+    size = max(1, _GEMM_MACS // rho_real.size)
+    for start in range(0, points.size, size):
+        block = np.s_[start:start + size]
+        C = _coherent_overlap_matrix(points[block], space.fock.n_max)
+        left = (C.view(float) @ rho_real).view(complex).reshape(-1, d * d, nf)
+        vals[block] = np.einsum("pkn,pn->pk", left, C) / np.pi
+        deficit[block] = 1.0 - np.sum(np.abs(C) ** 2, axis=1)
+    vals = vals.reshape(grid.M, grid.M, d, d)
+    deficit = deficit.reshape(grid.M, grid.M)
     vals = 0.5 * (vals + vals.conj().transpose(0, 1, 3, 2))
-    deficit = 1.0 - np.sum(np.abs(C) ** 2, axis=2)
-    flags = (np.abs(grid.nodes()) > 0.5 * np.sqrt(space.fock.n_max)) & (deficit > 1e-10)
+    flags = (np.abs(nodes) > 0.5 * np.sqrt(space.fock.n_max)) & (deficit > 1e-10)
     return OperatorPhaseField(grid, vals, kind="husimi", truncation_flags=flags)
 
 

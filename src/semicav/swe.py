@@ -391,11 +391,16 @@ def sample_field(wave: SemiclassicalWave, count: int, seed: int) -> np.recarray:
 
 @dataclass
 class ComparisonReport:
-    """Node-wise and moment-level comparison of a wave against the oracle."""
+    """Node-wise and moment-level comparison of a wave against the oracle.
+
+    ``oracle_max`` is the largest node value of the oracle's density, the
+    scale of ``linf``; it is not part of the JSON form.
+    """
 
     linf: float
     l2: float
     moments: dict[str, dict]
+    oracle_max: float
 
     def to_json_dict(self) -> dict:
         def enc(z: complex) -> dict:
@@ -439,4 +444,5 @@ def compare_to_oracle(wave: SemiclassicalWave, state: CompositeState,
         m_swe = phase_space_moment(swe_op, j, k)
         m_orc = phase_space_moment(oracle_field, j, k)
         moments[name] = {"swe": m_swe, "oracle": m_orc, "delta": abs(m_swe - m_orc)}
-    return ComparisonReport(linf=linf, l2=l2, moments=moments)
+    return ComparisonReport(linf=linf, l2=l2, moments=moments,
+                            oracle_max=float(np.max(np.abs(oracle_field.values))))

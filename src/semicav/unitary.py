@@ -131,12 +131,17 @@ def density_operator(state: CompositeState) -> np.ndarray:
 
 
 def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarray,
-             dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step for dy/dt = f(t, y)."""
+             dt: float, t_end: float) -> np.ndarray:
+    """One classical Runge-Kutta step for dy/dt = f(t, y) from t to t_end = t + dt.
+
+    The end stage is evaluated at ``t_end`` as passed, which need not equal
+    the float t + dt: a caller stepping on t_start + step dt passes that
+    value, so the end stage and the next step's first stage share one time.
+    """
     k1 = f(t, y)
     k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
     k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = f(t + dt, y + dt * k3)
+    k4 = f(t_end, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -152,8 +157,9 @@ def integrate(rhs: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, tg
     t = tgrid.t_start
     times, ys = [t], [y]
     for step in range(1, tgrid.n_steps + 1):
-        y = rk4_step(rhs, t, y, tgrid.dt)
-        t = tgrid.t_start + step * tgrid.dt
+        t_end = tgrid.t_start + step * tgrid.dt
+        y = rk4_step(rhs, t, y, tgrid.dt, t_end)
+        t = t_end
         guard(step, t, y)
         if step % tgrid.sample_stride == 0:
             times.append(t)
@@ -170,7 +176,8 @@ def coupling_rhs(model: AtomFieldModel,
     coefficient equation i dF_n/dt = sqrt(n) j F_{n-1} + sqrt(n+1) j+ F_{n+1}.
 
     S = -i [j(t); j+(t)] is kept for the last stage time only: RK4's midpoint
-    stages share a time, and the end stage often equals the next step's start.
+    stages share a time, and under ``integrate`` the end stage is the next
+    step's start.
     """
     a = annihilation(basis)
     a_t, a_dag_t = a.T, a.conj()

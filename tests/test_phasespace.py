@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
+
+from semicav import phasespace
 
 from semicav.fockspace import (
     CompositeSpace,
@@ -189,6 +192,38 @@ class TestSharpDensity:
                                    atol=1e-6)
 
 
+class TestChiOnGrid:
+    @pytest.mark.parametrize("n_max", [2, 9, 20])
+    def test_matches_displacement_exponential(self, n_max, monkeypatch):
+        # reference: tr(expm(lam a+ - lam* a) B) with B zero-padded 40 levels higher,
+        # so that truncating the exponential does not reach the block
+        rng = np.random.default_rng(29 + n_max)
+        nf = n_max + 1
+        blocks = rng.normal(size=(nf, nf, 3, 3)) + 1j * rng.normal(size=(nf, nf, 3, 3))
+        lam = np.linspace(0.0, 2.0, 19)[:, None] * np.exp(2j * np.pi * rng.random((19, 7)))
+        a = annihilation(FockBasis(n_max + 40))
+        expected = np.empty(lam.shape + (3, 3), dtype=complex)
+        for idx in np.ndindex(lam.shape):
+            disp = expm(lam[idx] * a.conj().T - np.conj(lam[idx]) * a)
+            padded = np.zeros((a.shape[0], a.shape[0], 3, 3), dtype=complex)
+            padded[:nf, :nf] = blocks
+            expected[idx] = np.einsum("mn,nmij->ij", disp, padded)
+        # 133 points: one block at the module's GEMM size, then five blocks of
+        # at most 30 points, the last partial
+        for macs in (phasespace._GEMM_MACS, 30 * nf * 4 * 9):
+            monkeypatch.setattr(phasespace, "_GEMM_MACS", macs)
+            chi = phasespace._chi_on_grid(blocks, lam)
+            assert chi.shape == expected.shape
+            assert np.all(np.abs(chi - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+    def test_far_lambda_is_zero_not_nan(self):
+        # the envelope underflows to 0 near |lam| 40; at |lam|^2 = 2e22 L_16 alone
+        # overflows, but lam^16 does not, so the product must stay 0
+        blocks = np.ones((17, 17, 1))
+        chi = phasespace._chi_on_grid(blocks, np.array([40.0, 60.0j, 1e11 + 1e11j]))
+        assert np.array_equal(chi, np.zeros((3, 1)))
+
+
 class TestCoarseGrain:
     def test_vacuum_wigner_becomes_husimi(self, default_grid):
         w = wigner(fock_density(0, 8), default_grid)
@@ -278,6 +313,28 @@ class TestHusimi:
             q_direct = husimi_function(rho, default_grid)
             q_smoothed = coarse_grain(wigner(rho, default_grid))
             assert np.max(np.abs(q_direct.values - q_smoothed.values)) <= 5.0 * default_grid.tol
+
+    @pytest.mark.parametrize("M", [32, 64])
+    def test_matches_einsum_definition(self, M, monkeypatch):
+        # the four-operand contraction over the full overlap array is the reference
+        rng = np.random.default_rng(41 + M)
+        space = CompositeSpace(3, FockBasis(10))
+        grid = PhaseGrid(5.0, M)
+        vecs = rng.normal(size=(4, 33)) + 1j * rng.normal(size=(4, 33))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        rho = np.einsum("k,ki,kj->ij", rng.dirichlet(np.ones(4)), vecs, vecs.conj())
+        C = phasespace._coherent_overlap_matrix(grid.nodes(), 10)
+        vals = np.einsum("xym,imjn,xyn->xyij", C.conj(), rho.reshape(3, 11, 3, 11), C) / np.pi
+        vals = 0.5 * (vals + vals.conj().transpose(0, 1, 3, 2))
+        deficit = 1.0 - np.sum(np.abs(C) ** 2, axis=2)
+        flags = (np.abs(grid.nodes()) > 0.5 * np.sqrt(10)) & (deficit > 1e-10)
+        assert flags.any() and not flags.all()
+        # blocks at the module's GEMM size, and of 100 nodes with a partial last block
+        for macs in (phasespace._GEMM_MACS, 100 * (2 * 11) * (2 * 9 * 11)):
+            monkeypatch.setattr(phasespace, "_GEMM_MACS", macs)
+            field = husimi_density(rho, space, grid)
+            assert np.max(np.abs(field.values - vals)) <= 1e-14
+            assert np.array_equal(field.truncation_flags, flags)
 
     def test_truncation_flags(self, default_grid):
         space = CompositeSpace(1, FockBasis(8))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from semicav import unitary
 from semicav.fockspace import (
     CompositeSpace,
     CompositeState,
@@ -209,6 +210,41 @@ class TestCouplingOde:
         for t, Yk in ((t1, Y), (t1, Y2), (t2, Y), (t1, Y)):
             expected = -1j * interaction_hamiltonian(model, t, space) @ Yk.ravel()
             assert np.max(np.abs(rhs(t, Yk).ravel() - expected)) <= 1e-14
+
+    def test_end_stage_is_next_step_start(self, three_level_model, monkeypatch):
+        # integrate evaluates each end stage at t_start + step dt, the float that the
+        # guard, the samples and the next step's first stage use
+        model = three_level_model
+        space = CompositeSpace(3, FockBasis(6))
+        counted = []
+        monkeypatch.setattr(unitary, "rotated_current",
+                            lambda m, t: counted.append(t) or rotated_current(m, t))
+        rhs = coupling_rhs(model, space.fock)
+        calls = []
+
+        def recording(t, Y):
+            out = rhs(t, Y)
+            calls.append((t, Y, out))
+            return out
+
+        tgrid = TimeGrid(0.3, 4.5, 0.07, 4)
+        guard_times = []
+        Y0 = np.zeros((3, 7), dtype=complex)
+        Y0[0, 0] = 1.0
+        times, _ = integrate(recording, Y0, tgrid, lambda step, t, Y: guard_times.append(t))
+        starts, ends = [c[0] for c in calls[0::4]], [c[0] for c in calls[3::4]]
+        assert ends == guard_times == [0.3 + s * 0.07 for s in range(1, 61)]
+        assert starts[1:] == ends[:-1]
+        assert list(times[1:]) == guard_times[3::4]
+        # this grid has steps whose t + dt rounds differently from t_start + step dt
+        assert any(t + 0.07 != t_end for t, t_end in zip(starts, ends))
+        # j(t) once per distinct stage time: the start, and a midpoint and an end per step
+        assert len(counted) == 2 * 60 + 1
+        # stage times interleave with states; every value must still be -i H_I(t) Y
+        monkeypatch.undo()
+        for t, Y, out in calls:
+            expected = -1j * interaction_hamiltonian(model, t, space) @ Y.ravel()
+            assert np.max(np.abs(out.ravel() - expected)) <= 1e-14
 
     def test_integrate_samples_and_guards(self):
         # dy/dt = y: RK4 samples track e^t; the guard sees every step
