@@ -13,7 +13,6 @@ from semicav.fockspace import (
     CompositeSpace,
     CompositeState,
     annihilation,
-    creation,
     coherent_amplitudes,
     symmetric_product,
     superop_weyl_apply,
@@ -46,7 +45,6 @@ from semicav.phasespace import (
     coarse_grain,
     husimi_density,
     husimi_function,
-    semiclassical_expectation,
     phase_space_moment,
     photon_number_from_husimi,
     symmetric_moment_oracle,
@@ -59,7 +57,6 @@ from semicav.swe import (
     initial_wave,
     evolve_swe,
     evaluate_on_grid,
-    project_to_coefficients,
     field_density,
     conditional_state,
     swe_expectation,

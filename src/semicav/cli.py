@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +66,8 @@ class ScenarioConfig:
             raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
         if self.sample_count is not None and self.sample_count < 1:
             raise ValueError(f"sampling count must be >= 1, got {self.sample_count}")
+        if self.sample_seed is not None and self.sample_seed < 0:
+            raise ValueError(f"sampling seed must be >= 0, got {self.sample_seed}")
         # their constructors refuse n_max < 2 and M not a power of two >= 32
         self.fock_basis()
         self.phase_grid()
@@ -120,8 +122,10 @@ class ScenarioConfig:
             "swe_backend": self.swe_backend,
             "output_dir": self.output_dir,
         }
-        if self.sample_count is not None:
-            doc["sampling"] = {"count": self.sample_count, "seed": self.sample_seed}
+        sampling = {"count": self.sample_count, "seed": self.sample_seed}
+        sampling = {key: value for key, value in sampling.items() if value is not None}
+        if sampling:
+            doc["sampling"] = sampling
         return doc
 
     def fock_basis(self) -> fockspace.FockBasis:
@@ -244,35 +248,10 @@ def cmd_rabi(config: ScenarioConfig) -> RunReport:
     return report
 
 
-def write_field_csv(field, path) -> Path:
-    """Serialize a scalar or operator phase-space field, row-major over the grid.
-
-    Scalar fields emit one ``value`` column; operator fields emit Re/Im
-    columns for every matrix entry.
-    """
-    path = Path(path)
-    grid = field.grid
-    if isinstance(field, phasespace.PhaseFunction):
-        meta = {"kind": field.kind, "L": grid.L, "M": grid.M}
-        columns = ["x", "y", "value"]
-        values = np.real(field.values)
-    elif isinstance(field, phasespace.OperatorPhaseField):
-        d = field.atom_dim
-        meta = {"kind": field.kind, "L": grid.L, "M": grid.M, "atom_dim": d}
-        columns = ["x", "y"] + [f"{part}_m{i}{j}" for i in range(d) for j in range(d)
-                                for part in ("re", "im")]
-        values = np.stack((field.values.real, field.values.imag), axis=-1)
-    else:
-        raise TypeError(f"cannot serialize {type(field).__name__}")
-    _write_csv(path, meta, columns, _grid_table(grid, values))
-    return path
-
-
 def read_field_csv(path) -> tuple[dict, np.ndarray]:
-    """Re-load a field CSV from its header metadata alone.
+    """Re-load a ``phasespace`` field CSV from its header metadata alone.
 
-    Returns the metadata dict and the value array: (M, M) for scalar
-    fields, (M, M, d, d) complex for operator fields.
+    Returns the metadata dict and the (M, M) value array.
     """
     with open(path) as fh:
         header = fh.readline()
@@ -288,36 +267,15 @@ def read_field_csv(path) -> tuple[dict, np.ndarray]:
         reader = csv.reader(fh)
         columns = next(reader)
         data = np.array([[float(v) for v in row[2:]] for row in reader])
+    if len(columns) != 3:
+        raise ValueError("unexpected column layout for a scalar field")
     M = int(meta["M"])
-    if "atom_dim" in meta:
-        d = int(meta["atom_dim"])
-        values = (data[:, 0::2] + 1j * data[:, 1::2]).reshape(M, M, d, d)
-    else:
-        if len(columns) != 3:
-            raise ValueError("unexpected column layout for a scalar field")
-        values = data[:, 0].reshape(M, M)
-    return meta, values
+    return meta, data[:, 0].reshape(M, M)
 
 
-def write_wave_csv(wave, path) -> Path:
-    """Serialize a grid-representation wave: x, y, Re/Im of each component."""
-    path = Path(path)
-    if wave.representation != "grid":
-        raise ValueError("wave snapshots require the grid representation")
-    grid = wave.grid
-    d = wave.atom_dim
-    columns = ["x", "y"] + [f"{part}_psi{i}" for i in range(d) for part in ("re", "im")]
-    values = np.stack((wave.values.real, wave.values.imag), axis=-1)
-    _write_csv(path, {"kind": "wave", "L": grid.L, "M": grid.M, "atom_dim": d,
-                      "time": wave.time}, columns, _grid_table(grid, values))
-    return path
-
-
-def _steps_for(config: ScenarioConfig, t: float) -> int:
-    steps = t / config.dt
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
-        raise ValueError("t must be a multiple of dt")
-    return int(round(steps))
+def _time_grid_to(config: ScenarioConfig, t: float) -> unitary.TimeGrid:
+    """Steps of ``config.dt`` from 0 to ``t``, sampled at both ends only."""
+    return unitary.TimeGrid(0.0, t, config.dt, max(1, round(t / config.dt)))
 
 
 def cmd_phasespace(config: ScenarioConfig, t: float, kind: str) -> Path:
@@ -326,23 +284,12 @@ def cmd_phasespace(config: ScenarioConfig, t: float, kind: str) -> Path:
         raise ValueError(f"unknown field kind {kind!r}")
     grid = config.phase_grid()
     space = config.composite_space()
-    n_steps = _steps_for(config, t)
+    tgrid = _time_grid_to(config, t)
     meta = {"kind": kind, "L": config.L, "M": config.M, "time": t, "n_max": config.n_max}
     if kind == "swe-density":
-        if n_steps == 0:
-            rep = config.fock_basis() if config.swe_backend == "bargmann" else grid
-            wave = swe.initial_wave(config.initial_atom(), rep)
-        else:
-            tgrid = unitary.TimeGrid(0.0, t, config.dt, n_steps)
-            wave = _run_swe(config, tgrid)[-1]
-        column, values = "density", swe.field_density(wave, grid).values
+        column, values = "density", swe.field_density(_run_swe(config, tgrid)[-1], grid).values
     else:
-        psi0 = _initial_composite(config)
-        if n_steps == 0:
-            state = psi0
-        else:
-            tgrid = unitary.TimeGrid(0.0, t, config.dt, n_steps)
-            state = unitary.evolve_unitary(config.model, psi0, tgrid).states[-1]
+        state = unitary.evolve_unitary(config.model, _initial_composite(config), tgrid).states[-1]
         rho_field = fockspace.partial_trace_atom(unitary.density_operator(state), space)
         if kind == "wigner":
             column, values = "value", phasespace.wigner(rho_field, grid).values
@@ -353,20 +300,14 @@ def cmd_phasespace(config: ScenarioConfig, t: float, kind: str) -> Path:
     return path
 
 
-def cmd_sample(config: ScenarioConfig, t: float, count: int | None = None,
-               seed: int | None = None) -> Path:
+def cmd_sample(config: ScenarioConfig, t: float) -> Path:
     """Draw classical field samples at time ``t`` and write them as CSV."""
-    count = count if count is not None else (config.sample_count or 10000)
-    seed = seed if seed is not None else (config.sample_seed or 0)
+    count = config.sample_count or 10000
+    seed = config.sample_seed or 0
     grid = config.phase_grid()
-    n_steps = _steps_for(config, t)
-    if n_steps == 0:
-        wave = swe.initial_wave(config.initial_atom(), grid)
-    else:
-        tgrid = unitary.TimeGrid(0.0, t, config.dt, n_steps)
-        wave = _run_swe(config, tgrid)[-1]
-        if wave.representation == "bargmann":
-            wave = swe.evaluate_on_grid(wave, grid)
+    wave = _run_swe(config, _time_grid_to(config, t))[-1]
+    if wave.representation == "bargmann":
+        wave = swe.evaluate_on_grid(wave, grid)
     samples = swe.sample_field(wave, count, seed)
     d = wave.atom_dim
     path = Path(config.output_dir) / f"samples_t{t:g}.csv"
@@ -502,17 +443,15 @@ def cmd_verify(config: ScenarioConfig) -> tuple[int, dict]:
 
 
 def _load_config(args) -> ScenarioConfig:
+    """The config file or the built-in defaults, with the command-line overrides
+    applied through the constructor so that they are validated like the file."""
     if args.config:
         config = ScenarioConfig.from_file(args.config)
     else:
         config = ScenarioConfig.from_dict(_DEFAULT_CONFIG)
-    if args.backend:
-        config.swe_backend = args.backend
-    if args.out:
-        config.output_dir = args.out
-    if args.seed is not None:
-        config.sample_seed = args.seed
-    return config
+    overrides = {"swe_backend": args.backend, "output_dir": args.out,
+                 "sample_seed": args.seed, "sample_count": getattr(args, "count", None)}
+    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def main(argv=None) -> int:
@@ -546,7 +485,7 @@ def main(argv=None) -> int:
         print(f"wrote {path}")
         return 0
     if args.verb == "sample":
-        path = cmd_sample(config, args.time, count=args.count, seed=config.sample_seed)
+        path = cmd_sample(config, args.time)
         print(f"wrote {path}")
         return 0
     if args.verb == "verify":

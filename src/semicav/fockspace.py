@@ -46,10 +46,6 @@ class CompositeSpace:
         """Lift a field-space operator to the composite space."""
         return np.kron(np.eye(self.atom_dim, dtype=complex), op)
 
-    def atom_operator(self, op: np.ndarray) -> np.ndarray:
-        """Lift an atomic operator to the composite space."""
-        return np.kron(np.asarray(op, dtype=complex), np.eye(self.fock.dim))
-
 
 @dataclass
 class CompositeState:
@@ -84,10 +80,6 @@ def annihilation(basis: FockBasis) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, basis.dim)), 1).astype(complex)
 
 
-def creation(basis: FockBasis) -> np.ndarray:
-    return annihilation(basis).conj().T
-
-
 def number_operator(basis: FockBasis) -> np.ndarray:
     a = annihilation(basis)
     return a.conj().T @ a
@@ -116,30 +108,21 @@ def symmetric_product(A: np.ndarray, O: np.ndarray) -> np.ndarray:
 
 
 def superop_weyl_apply(lam: complex, rho: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Apply the symmetric-order displacement superoperator to an operator.
+    """Apply the symmetric-order displacement superoperator to a field operator.
 
     Computes ``exp(-lam* a/2) exp(lam a+/2) rho exp(lam a+/2) exp(-lam* a/2)``
-    with the matrix exponentials taken on the truncated field space. ``rho``
-    may live on the field space itself or on a composite space whose field
-    factor matches ``basis``; in the latter case the exponential factors act
-    on the field factor only.
+    with the matrix exponentials taken on the truncated field space.
 
     The caller is responsible for keeping ``|lam|`` small enough (and the
     support of ``rho`` low enough) that truncation spill-over at the top
     Fock levels is negligible.
     """
     rho = np.asarray(rho, dtype=complex)
-    dim = basis.dim
-    if rho.shape[0] % dim != 0:
-        raise ValueError(f"operator dimension {rho.shape[0]} is not a multiple of {dim}")
+    if rho.shape != (basis.dim, basis.dim):
+        raise ValueError(f"operator has shape {rho.shape}, expected ({basis.dim}, {basis.dim})")
     a = annihilation(basis)
     e_lower = expm(-0.5 * np.conj(lam) * a)
     e_raise = expm(0.5 * lam * a.conj().T)
-    if rho.shape[0] != dim:
-        blocks = rho.shape[0] // dim
-        eye = np.eye(blocks, dtype=complex)
-        e_lower = np.kron(eye, e_lower)
-        e_raise = np.kron(eye, e_raise)
     return e_lower @ e_raise @ rho @ e_raise @ e_lower
 
 

@@ -16,8 +16,7 @@ Conventions, fixed once and used everywhere:
   truncated Fock space.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
@@ -163,18 +162,10 @@ class OperatorPhaseField:
             if eigs.min() < -self.psd_tol:
                 raise ValueError(f"node matrices have eigenvalue {eigs.min()}")
 
-    @property
-    def atom_dim(self) -> int:
-        return self.values.shape[2]
-
     def atomic_trace(self) -> PhaseFunction:
         tr = np.einsum("xyii->xy", self.values)
         kind = "husimi" if self.kind == "husimi" else "wigner"
         return PhaseFunction(self.grid, tr.real if kind == "husimi" else tr, kind)
-
-    def integrate(self) -> np.ndarray:
-        """Quadrature over the grid, yielding a d x d atomic matrix."""
-        return np.sum(self.values, axis=(0, 1)) * self.grid.weight
 
 
 @dataclass(frozen=True)
@@ -206,43 +197,27 @@ class GaussianKernel:
         return cls(grid, values)
 
 
-_PROBE_POINTS = np.array(
-    [0.0, 0.3 + 0.1j, -0.8j, 1.2 - 0.7j, -1.5 + 0.4j, 0.05 + 1.9j, -2.0 - 0.3j, 0.9 + 0.9j]
-)
-
-
 @dataclass
 class SemiclassicalObservable:
-    """Phase-space symbol F(a, a*) with an optional polynomial form.
+    """Phase-space polynomial F(a, a*), optionally times an atomic operator.
 
-    ``poly`` maps exponent pairs (j, k) to coefficients of a^j (a*)^k. An
-    optional atomic operator factor multiplies the scalar symbol, so that
-    purely atomic observables are the special case of a constant symbol.
-    When both a callable symbol and a polynomial are supplied they must
-    agree; the polynomial is the form used for operator substitution.
+    ``poly`` maps exponent pairs (j, k) to coefficients of a^j (a*)^k. The
+    atomic operator factor multiplies the scalar polynomial, so that purely
+    atomic observables are the special case of a constant polynomial.
     """
 
-    symbol: Callable[[np.ndarray], np.ndarray] | None = None
-    poly: dict[tuple[int, int], complex] | None = None
+    poly: dict[tuple[int, int], complex]
     atom_op: np.ndarray | None = None
     name: str = ""
 
     def __post_init__(self):
-        if self.symbol is None and self.poly is None:
-            raise ValueError("observable needs a symbol or a polynomial form")
         if self.atom_op is not None:
             self.atom_op = np.asarray(self.atom_op, dtype=complex)
-        if self.poly is not None and self.symbol is not None:
-            sampled = self.symbol(_PROBE_POINTS)
-            from_poly = self._poly_eval(_PROBE_POINTS)
-            scale = max(1.0, np.max(np.abs(from_poly)))
-            if np.max(np.abs(sampled - from_poly)) > 1e-12 * scale:
-                raise ValueError("polynomial form does not reproduce the sampled symbol")
 
     @classmethod
     def from_poly(cls, poly: dict[tuple[int, int], complex],
                   atom_op: np.ndarray | None = None, name: str = ""):
-        return cls(symbol=None, poly=dict(poly), atom_op=atom_op, name=name)
+        return cls(poly=dict(poly), atom_op=atom_op, name=name)
 
     @classmethod
     def constant(cls, c: complex = 1.0, atom_op: np.ndarray | None = None, name: str = ""):
@@ -252,23 +227,16 @@ class SemiclassicalObservable:
     def abs_square(cls):
         return cls.from_poly({(1, 1): 1.0}, name="|a|^2")
 
-    def _poly_eval(self, a: np.ndarray) -> np.ndarray:
+    def evaluate(self, a: np.ndarray) -> np.ndarray:
         out = np.zeros_like(a, dtype=complex)
         for (j, k), c in self.poly.items():
             out += c * np.power(a, j) * np.power(np.conj(a), k)
         return out
 
-    def evaluate(self, a: np.ndarray) -> np.ndarray:
-        if self.symbol is not None:
-            return np.asarray(self.symbol(a))
-        return self._poly_eval(a)
-
     def values_on(self, grid: PhaseGrid) -> np.ndarray:
         return self.evaluate(grid.nodes())
 
-    def degree(self) -> int | None:
-        if self.poly is None:
-            return None
+    def degree(self) -> int:
         return max((j + k for j, k in self.poly), default=0)
 
     def coarse_grained(self):
@@ -277,8 +245,6 @@ class SemiclassicalObservable:
         Cross-moments <a0^p a0*^q> of the kernel vanish except for p = q,
         where they equal p! / 2^p; the result is again a polynomial.
         """
-        if self.poly is None:
-            raise ValueError("coarse-graining requires a polynomial form")
         from math import comb, factorial
 
         out: dict[tuple[int, int], complex] = {}
@@ -524,28 +490,6 @@ def husimi_function(rho_field: np.ndarray, grid: PhaseGrid) -> PhaseFunction:
     return husimi_density(rho_field, space, grid).atomic_trace()
 
 
-def semiclassical_expectation(F: SemiclassicalObservable, field) -> float:
-    """Quadrature of F against a phase-space density.
-
-    For an operator-valued density the atomic factor of ``F`` (identity if
-    absent) is traced against the node matrices. The imaginary residue is
-    dropped; meaningful for Hermitian observables.
-    """
-    sym = F.values_on(field.grid)
-    if isinstance(field, PhaseFunction):
-        if F.atom_op is not None:
-            raise ValueError("scalar density cannot carry an atomic operator factor")
-        total = np.sum(sym * field.values)
-    elif isinstance(field, OperatorPhaseField):
-        d = field.atom_dim
-        atom = F.atom_op if F.atom_op is not None else np.eye(d, dtype=complex)
-        traces = np.einsum("ij,xyji->xy", atom, field.values)
-        total = np.sum(sym * traces)
-    else:
-        raise TypeError(f"cannot integrate against {type(field).__name__}")
-    return float(np.real(total) * field.grid.weight)
-
-
 def phase_space_moment(field, j: int, k: int) -> complex:
     """Complex moment int a^j (a*)^k f(a) dx dy of a scalar or operator field."""
     if isinstance(field, OperatorPhaseField):
@@ -579,8 +523,6 @@ def symmetric_moment_oracle(poly: SemiclassicalObservable, rho: np.ndarray,
     the composite case the ladder operators act on the field factor and an
     atomic factor of the observable multiplies before the trace.
     """
-    if poly.poly is None:
-        raise ValueError("operator substitution requires a polynomial form")
     deg = poly.degree()
     if deg > 4:
         raise ValueError(f"total degree {deg} exceeds the supported maximum of 4")

@@ -54,7 +54,6 @@ __all__ = [
     "initial_wave",
     "evolve_swe",
     "evaluate_on_grid",
-    "project_to_coefficients",
     "field_density",
     "conditional_state",
     "swe_expectation",
@@ -315,16 +314,6 @@ def evaluate_on_grid(wave: SemiclassicalWave, grid: PhaseGrid) -> SemiclassicalW
     values = np.einsum("xyn,nd->xyd", B, wave.coeffs)
     return SemiclassicalWave("grid", time=wave.time, grid=grid, values=values,
                              norm_tol=max(grid.tol, wave.norm_tol or 0.0))
-
-
-def project_to_coefficients(wave: SemiclassicalWave, basis: FockBasis) -> SemiclassicalWave:
-    """Quadrature projection of a grid wave onto the coefficient basis."""
-    if wave.representation != "grid":
-        raise ValueError("project_to_coefficients expects a grid wave")
-    B = _basis_matrix(wave.grid.nodes(), basis.n_max)
-    coeffs = np.einsum("xyn,xyd->nd", B.conj(), wave.values) * wave.grid.weight
-    return SemiclassicalWave("bargmann", time=wave.time, basis=basis, coeffs=coeffs,
-                             norm_tol=max(1e-10, wave.grid.tol, wave.norm_tol or 0.0))
 
 
 def field_density(wave: SemiclassicalWave, grid: PhaseGrid | None = None) -> PhaseFunction:

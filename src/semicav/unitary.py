@@ -5,7 +5,7 @@ e^{-i H t}; the interaction Hamiltonian is j(t) (x) a+ + h.c. Integration is
 fixed-step classical RK4 with the Hamiltonian evaluated at the stage times.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -68,8 +68,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.t_end <= self.t_start:
-            raise ValueError("t_end must exceed t_start")
+        if self.t_end < self.t_start:
+            raise ValueError("t_end must not precede t_start")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
         steps = (self.t_end - self.t_start) / self.dt
@@ -79,10 +79,6 @@ class TimeGrid:
     @property
     def n_steps(self) -> int:
         return int(round((self.t_end - self.t_start) / self.dt))
-
-    def sample_times(self) -> np.ndarray:
-        idx = np.arange(0, self.n_steps + 1, self.sample_stride)
-        return self.t_start + idx * self.dt
 
 
 @dataclass

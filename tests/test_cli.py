@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +16,9 @@ from semicav.cli import (
     cmd_verify,
     main,
     read_field_csv,
-    write_field_csv,
-    write_wave_csv,
 )
-from semicav.fockspace import CompositeSpace, FockBasis
-from semicav.phasespace import GaussianKernel, PhaseGrid, husimi_density, husimi_function
-from semicav.swe import initial_wave
+from semicav import swe, unitary
+from semicav.phasespace import GaussianKernel
 from semicav.unitary import AtomFieldModel
 
 
@@ -47,7 +45,6 @@ def scenario_configs(draw):
     entries = st.lists(st.tuples(finite, finite), min_size=d * d, max_size=d * d)
     A = np.array([complex(re, im) for re, im in draw(entries)]).reshape(d, d)
     j = np.array([complex(re, im) for re, im in draw(entries)]).reshape(d, d)
-    sampled = draw(st.booleans())
     return ScenarioConfig(
         model=AtomFieldModel(d, h_ato=A + A.conj().T, j=j,
                              omega=draw(st.floats(0.0, 1e3, allow_nan=False))),
@@ -58,8 +55,8 @@ def scenario_configs(draw):
         dt=draw(st.floats(1e-6, 1.0)),
         sample_stride=draw(st.integers(1, 10 ** 6)),
         swe_backend=draw(st.sampled_from(["bargmann", "grid"])),
-        sample_count=draw(st.integers(1, 10 ** 6)) if sampled else None,
-        sample_seed=draw(st.integers(0, 2 ** 32 - 1)) if sampled else None,
+        sample_count=draw(st.none() | st.integers(1, 10 ** 6)),
+        sample_seed=draw(st.none() | st.integers(0, 2 ** 32 - 1)),
         output_dir=draw(st.text(min_size=1, max_size=20)),
     )
 
@@ -101,6 +98,7 @@ class TestConfig:
         ({"time": {"t_end": -1.0, "dt": 1e-3, "sample_stride": 100}}, "t_end must be positive"),
         ({"time": {"t_end": 0.5, "dt": 1e-3, "sample_stride": 0}}, "sample_stride"),
         ({"sampling": {"count": 0, "seed": 1}}, "sampling count"),
+        ({"sampling": {"count": 10, "seed": -1}}, "sampling seed"),
     ])
     def test_invalid_values_are_refused_at_load(self, tmp_path, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -121,6 +119,8 @@ class TestJsonFloats:
         doc = config.to_dict()
         again = ScenarioConfig.from_dict(json.loads(json.dumps(doc)))
         assert again.to_dict() == doc
+        assert (again.sample_count, again.sample_seed) == (config.sample_count,
+                                                           config.sample_seed)
 
     def test_17_digit_round_trip(self, tmp_path):
         # every float of report.json loads back bit-equal to the report it came from
@@ -194,13 +194,24 @@ class TestPhasespaceCommand:
         with pytest.raises(ValueError):
             cmd_phasespace(small_config(tmp_path), 0.0, "glauber")
 
+    def test_zero_time_runs_the_evolve_path(self, tmp_path):
+        # t = 0 is an ordinary run of zero steps, so the oracle's dt guard applies
+        config = small_config(tmp_path, time={"t_end": 0.5, "dt": 0.1, "sample_stride": 1})
+        with pytest.raises(ValueError, match="reduce dt"):
+            cmd_phasespace(config, 0.0, "wigner")
+        with pytest.raises(ValueError, match="must not precede"):
+            cmd_phasespace(small_config(tmp_path), -0.5, "husimi")
+        with pytest.raises(ValueError, match="integer"):
+            cmd_phasespace(small_config(tmp_path), 0.0005, "husimi")
+
 
 class TestSampleCommand:
     def test_writes_deterministic_samples(self, tmp_path):
         config = small_config(tmp_path)
-        path = cmd_sample(config, 0.0, count=1000, seed=5)
+        config = replace(config, sample_count=1000, sample_seed=5)
+        path = cmd_sample(config, 0.0)
         first = path.read_bytes()
-        path = cmd_sample(config, 0.0, count=1000, seed=5)
+        path = cmd_sample(config, 0.0)
         assert path.read_bytes() == first
         header, columns, rows = read_csv(path)
         assert "seed=5" in header
@@ -250,37 +261,31 @@ class TestVerifyCommand:
 
 class TestFieldSerialization:
     def test_scalar_field_round_trip(self, tmp_path):
-        grid = PhaseGrid(5.0, 32)
-        rho = np.zeros((9, 9), dtype=complex)
-        rho[1, 1] = 1.0
-        q = husimi_function(rho, grid)
-        path = write_field_csv(q, tmp_path / "field.csv")
-        meta, values = read_field_csv(path)
-        assert meta["kind"] == "husimi" and meta["M"] == 32
-        np.testing.assert_allclose(values, q.values, atol=0)
+        # each kind the phasespace verb writes reloads node for node; at t = 0
+        # the field is the vacuum Gaussian of its kind
+        config = small_config(tmp_path)
+        x = config.phase_grid().axis()
+        r2 = x[:, None] ** 2 + x[None, :] ** 2
+        closed_forms = {"husimi": np.exp(-r2) / np.pi, "swe-density": np.exp(-r2) / np.pi,
+                        "wigner": 2.0 / np.pi * np.exp(-2.0 * r2)}
+        for kind, expected in closed_forms.items():
+            path = cmd_phasespace(config, 0.0, kind)
+            meta, values = read_field_csv(path)
+            assert (meta["kind"], meta["M"], meta["L"], meta["time"]) == (kind, 64, 5.0, 0)
+            table = np.loadtxt(path, delimiter=",", skiprows=2)
+            np.testing.assert_array_equal(table[:, 0].reshape(64, 64), np.broadcast_to(
+                x[:, None], (64, 64)))
+            np.testing.assert_array_equal(values.ravel(), table[:, 2])
+            np.testing.assert_allclose(values, expected, atol=1e-10)
 
-    def test_operator_field_round_trip(self, tmp_path):
-        grid = PhaseGrid(5.0, 32)
-        space = CompositeSpace(2, FockBasis(4))
-        rng = np.random.default_rng(21)
-        v = rng.normal(size=10) + 1j * rng.normal(size=10)
-        v /= np.linalg.norm(v)
-        field = husimi_density(np.outer(v, v.conj()), space, grid)
-        path = write_field_csv(field, tmp_path / "opfield.csv")
-        meta, values = read_field_csv(path)
-        assert meta["atom_dim"] == 2
-        np.testing.assert_allclose(values, field.values, atol=0)
-
-    def test_wave_snapshot_columns(self, tmp_path):
-        grid = PhaseGrid(5.0, 32)
-        wave = initial_wave(np.array([1.0, 0.0], dtype=complex), grid)
-        path = write_wave_csv(wave, tmp_path / "wave.csv")
-        header, columns, rows = read_csv(path)
-        assert "kind=wave" in header
-        assert columns == ["x", "y", "re_psi0", "im_psi0", "re_psi1", "im_psi1"]
-        assert len(rows) == 32 * 32
-        center = [r for r in rows if float(r[0]) == 0.0 and float(r[1]) == 0.0][0]
-        assert float(center[2]) == pytest.approx(1.0 / np.sqrt(np.pi), abs=1e-12)
+    def test_refuses_non_field_csv(self, tmp_path):
+        config = small_config(tmp_path)
+        with pytest.raises(ValueError, match="column layout"):
+            read_field_csv(cmd_sample(config, 0.0))
+        bare = tmp_path / "bare.csv"
+        bare.write_text("x,y,value\n0.0,0.0,1.0\n")
+        with pytest.raises(ValueError, match="metadata header"):
+            read_field_csv(bare)
 
 
 class TestMain:
@@ -304,6 +309,22 @@ class TestMain:
         assert status == 0
         _, _, rows = read_csv(Path(out_dir) / "samples_t0.csv")
         assert len(rows) == 100
+
+    @pytest.mark.parametrize("args, message", [
+        (["--seed", "-3", "sample"], "sampling seed"),
+        (["sample", "--count", "-5"], "sampling count"),
+        (["sample", "--count", "0"], "sampling count"),
+    ])
+    def test_bad_overrides_refused_before_evolving(self, tmp_path, monkeypatch, args,
+                                                   message):
+        def evolve(*_):
+            raise AssertionError("evolved before the overrides were validated")
+
+        monkeypatch.setattr(unitary, "evolve_unitary", evolve)
+        monkeypatch.setattr(swe, "evolve_swe", evolve)
+        with pytest.raises(ValueError, match=message):
+            main(["--out", str(tmp_path / "out")] + args)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("verb", ["rabi", "phasespace", "sample", "verify"])
     def test_every_verb_runs_from_defaults(self, tmp_path, verb):

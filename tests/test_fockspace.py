@@ -11,7 +11,6 @@ from semicav.fockspace import (
     FockBasis,
     annihilation,
     coherent_amplitudes,
-    creation,
     number_operator,
     partial_trace_atom,
     partial_trace_field,
@@ -173,19 +172,12 @@ class TestWeylApply:
                 oracle = series_trace(lam, rho, basis)
                 assert abs(direct - oracle) <= tol
 
-    def test_composite_operator_blocks(self):
-        # acting on a composite operator displaces the field factor only
+    def test_refuses_composite_operator(self):
+        # only field operators are displaced; a composite one is refused
         basis = FockBasis(8)
-        space = CompositeSpace(2, basis)
-        rng = np.random.default_rng(3)
-        rho_ato = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho_f = np.zeros((9, 9), dtype=complex)
-        rho_f[0, 0] = 1.0
-        composite = tensor(rho_ato, rho_f)
-        lam = 0.3 - 0.2j
-        shifted = superop_weyl_apply(lam, composite, basis)
-        shifted_f = superop_weyl_apply(lam, rho_f, basis)
-        np.testing.assert_allclose(shifted, tensor(rho_ato, shifted_f), atol=1e-12)
+        composite = tensor(np.eye(2), np.eye(basis.dim))
+        with pytest.raises(ValueError, match="expected \\(9, 9\\)"):
+            superop_weyl_apply(0.3 - 0.2j, composite, basis)
 
 
 class TestCompositeAlgebra:
@@ -232,7 +224,3 @@ class TestCompositeAlgebra:
         CompositeState(space, amps)
         with pytest.raises(ValueError):
             CompositeState(space, 1.1 * amps)
-
-    def test_creation_is_adjoint(self):
-        basis = FockBasis(5)
-        np.testing.assert_allclose(creation(basis), annihilation(basis).conj().T)

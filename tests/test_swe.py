@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -16,7 +18,6 @@ from semicav.swe import (
     evolve_swe,
     field_density,
     initial_wave,
-    project_to_coefficients,
     sample_field,
     swe_expectation,
 )
@@ -106,6 +107,18 @@ class TestInitialWave:
     def test_rejects_unnormalized(self, grid64):
         with pytest.raises(ValueError):
             initial_wave(2.0 * EXCITED, grid64)
+
+
+class TestZeroSteps:
+    @pytest.mark.parametrize("backend", ["bargmann", "grid"])
+    def test_returns_initial_wave(self, grid64, backend):
+        rep = FockBasis(6) if backend == "bargmann" else grid64
+        wave = initial_wave(EXCITED, rep)
+        waves = evolve_swe(two_level_model(g=1.0), wave, TimeGrid(0.0, 0.0, 1e-3))
+        assert len(waves) == 1 and waves[0] is wave
+        amplitudes = "coeffs" if backend == "bargmann" else "values"
+        np.testing.assert_array_equal(getattr(wave, amplitudes),
+                                      getattr(initial_wave(EXCITED, rep), amplitudes))
 
 
 class TestBargmannStepper:
@@ -317,8 +330,14 @@ class TestRepresentationMaps:
         coeffs = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
         coeffs /= np.sqrt(np.sum(np.abs(coeffs) ** 2))
         barg = SemiclassicalWave("bargmann", time=0.0, basis=FockBasis(8), coeffs=coeffs)
-        back = project_to_coefficients(evaluate_on_grid(barg, grid), FockBasis(8))
-        np.testing.assert_allclose(back.coeffs, coeffs, atol=1e-8)
+        # quadrature against e^{-|a|^2/2} (a*)^n / sqrt(pi n!), orthonormal under dx dy
+        a = grid.nodes()[:, :, None]
+        n = np.arange(9)
+        basis = np.exp(-0.5 * np.abs(a) ** 2) * np.conj(a) ** n \
+            / np.sqrt(np.pi * np.array([factorial(k) for k in n]))
+        back = np.einsum("xyn,xyd->nd", basis.conj(), evaluate_on_grid(barg, grid).values) \
+            * grid.weight
+        np.testing.assert_allclose(back, coeffs, atol=1e-8)
 
     def test_norm_preserved(self, grid64):
         barg = initial_wave(EXCITED, FockBasis(8))

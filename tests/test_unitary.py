@@ -281,5 +281,25 @@ class TestTimeGrid:
             TimeGrid(0.0, 1.0, 0.3)
 
     def test_sample_times(self):
-        grid = TimeGrid(0.0, 1.0, 0.1, 5)
-        np.testing.assert_allclose(grid.sample_times(), [0.0, 0.5, 1.0])
+        times, _ = integrate(lambda t, y: y, np.ones(1), TimeGrid(0.0, 1.0, 0.1, 5),
+                             lambda step, t, y: None)
+        np.testing.assert_allclose(times, [0.0, 0.5, 1.0])
+
+    def test_zero_length_yields_one_sample(self):
+        steps = []
+        y0 = np.ones(2)
+        times, ys = integrate(lambda t, y: y, y0, TimeGrid(0.7, 0.7, 0.1),
+                              lambda step, t, y: steps.append(step))
+        assert list(times) == [0.7] and steps == []
+        np.testing.assert_array_equal(ys[0], y0)
+        assert ys[0] is not y0
+
+    def test_rejects_end_before_start(self):
+        with pytest.raises(ValueError, match="must not precede"):
+            TimeGrid(1.0, 0.5, 0.1)
+
+    def test_evolve_unitary_zero_steps(self):
+        model, _, psi0 = rabi_setup()
+        traj = evolve_unitary(model, psi0, TimeGrid(0.0, 0.0, 1e-3))
+        assert list(traj.times) == [0.0] and len(traj.states) == 1
+        np.testing.assert_array_equal(traj.states[0].amplitudes, psi0.amplitudes)
