@@ -75,7 +75,19 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
         model_doc = dict(doc["model"])
-        if model_doc.get("preset") == "two-level":
+        preset = model_doc.get("preset")
+        if preset not in (None, "two-level"):
+            raise ValueError(f"unknown model preset {preset!r}")
+        model_keys = "preset g detuning omega" if preset else "atom_dim h_ato j omega"
+        sampling = doc.get("sampling") or {}
+        for section, part, keys in (
+                ("top level", doc, "model fock grid time swe_backend sampling output_dir"),
+                ("model", model_doc, model_keys), ("fock", doc["fock"], "n_max"),
+                ("grid", doc["grid"], "L M"), ("time", doc["time"], "t_end dt sample_stride"),
+                ("sampling", sampling, "count seed")):
+            if unknown := sorted(set(part) - set(keys.split())):
+                raise ValueError(f"unknown config key(s) {', '.join(unknown)} in {section}")
+        if preset:
             model = unitary.two_level_model(
                 g=float(model_doc["g"]),
                 detuning=float(model_doc.get("detuning", 0.0)),
@@ -88,7 +100,6 @@ class ScenarioConfig:
                 j=_matrix_from_json(model_doc["j"]),
                 omega=float(model_doc["omega"]),
             )
-        sampling = doc.get("sampling") or {}
         return cls(
             model=model,
             n_max=int(doc["fock"]["n_max"]),
@@ -473,7 +484,14 @@ def main(argv=None) -> int:
     p_sample.add_argument("--count", type=int)
     sub.add_parser("verify", help="run the identity suite")
     args = parser.parse_args(argv)
-    config = _load_config(args)
+    try:
+        config = _load_config(args)
+    except (OSError, KeyError, TypeError, ValueError) as err:
+        parser.error(f"config is missing the key {err}" if isinstance(err, KeyError) else str(err))
+    try:
+        _time_grid_to(config, getattr(args, "time", 0.0))  # rabi and verify take no --time
+    except (OverflowError, ValueError):
+        parser.error(f"--time {args.time:g} is not a non-negative multiple of dt {config.dt:g}")
 
     if args.verb == "rabi":
         report = cmd_rabi(config)

@@ -67,7 +67,7 @@ class CompositeState:
                 f"expected ({self.space.total_dim},)"
             )
         nrm = np.linalg.norm(self.amplitudes)
-        if abs(nrm - 1.0) > self.norm_tol:
+        if not abs(nrm - 1.0) <= self.norm_tol:
             raise ValueError(f"state norm {nrm} deviates from 1 by more than {self.norm_tol}")
 
     def as_matrix(self) -> np.ndarray:

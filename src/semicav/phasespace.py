@@ -405,26 +405,22 @@ def _boundary_mass(values: np.ndarray, grid: PhaseGrid) -> float:
     return float(np.sum(flat) * grid.weight)
 
 
-def coarse_grain(f, grid: PhaseGrid | None = None, kernel: GaussianKernel | None = None):
+def coarse_grain(f):
     """Gaussian vacuum-noise smoothing; returns the same kind of object.
 
     Scalar and operator fields are convolved by Fourier multiplication with
-    the sampled kernel, assuming the field is negligible at the grid
-    boundary (periodic wrap-around). Polynomial observables are smoothed
-    exactly through the kernel moments instead, since polynomials do not
-    decay and a periodic convolution would corrupt them.
+    the vacuum kernel sampled on their grid, assuming the field is negligible
+    at the grid boundary (periodic wrap-around). Polynomial observables are
+    smoothed exactly through the kernel moments instead, since polynomials do
+    not decay and a periodic convolution would corrupt them.
     """
     if isinstance(f, SemiclassicalObservable):
         return f.coarse_grained()
-    grid = grid if grid is not None else f.grid
-    if grid is not f.grid and (grid.L != f.grid.L or grid.M != f.grid.M):
-        raise ValueError("input is not sampled on the requested grid")
-    if kernel is None:
-        kernel = GaussianKernel.vacuum(grid)
+    grid = f.grid
     bmass = _boundary_mass(f.values, grid)
     if bmass > 1e-8:
         raise ValueError(f"boundary mass {bmass} too large for periodic convolution")
-    smoothed = _convolve_with_kernel(f.values, grid, kernel)
+    smoothed = _convolve_with_kernel(f.values, grid, GaussianKernel.vacuum(grid))
     if isinstance(f, PhaseFunction):
         kind = "husimi" if f.kind == "wigner" else "generic"
         vals = smoothed.real if kind == "husimi" else smoothed

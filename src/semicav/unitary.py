@@ -2,13 +2,14 @@
 
 The coupling enters through the rotated current j(t) = e^{i w t} e^{i H t} J
 e^{-i H t}; the interaction Hamiltonian is j(t) (x) a+ + h.c. Integration is
-fixed-step classical RK4 with the Hamiltonian evaluated at the stage times.
+fixed-step classical RK4, applied as one precomputed step map.
 """
 
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import expm
 
 from semicav.fockspace import CompositeSpace, CompositeState, FockBasis, annihilation, tensor
 
@@ -32,6 +33,8 @@ class AtomFieldModel:
         d = self.atom_dim
         if self.h_ato.shape != (d, d) or self.j.shape != (d, d):
             raise ValueError(f"h_ato and j must be {d}x{d} matrices")
+        if not np.isfinite([*self.h_ato.ravel(), *self.j.ravel(), self.omega]).all():
+            raise ValueError("h_ato, j and omega must be finite")
         if np.max(np.abs(self.h_ato - self.h_ato.conj().T)) > 1e-12:
             raise ValueError("h_ato is not Hermitian within 1e-12")
         if self.omega < 0:
@@ -113,9 +116,9 @@ def product_initial_state(
     """Product state psi_ato (x) field, both factors required unit norm."""
     psi_ato = np.asarray(psi_ato, dtype=complex)
     field_amplitudes = np.asarray(field_amplitudes, dtype=complex)
-    if abs(np.linalg.norm(psi_ato) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(psi_ato) - 1.0) <= 1e-12:
         raise ValueError("atomic factor is not normalized")
-    if abs(np.linalg.norm(field_amplitudes) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(field_amplitudes) - 1.0) <= 1e-12:
         raise ValueError("field factor is not normalized")
     amps = np.kron(psi_ato, field_amplitudes)
     return CompositeState(space, amps)
@@ -127,69 +130,60 @@ def density_operator(state: CompositeState) -> np.ndarray:
 
 
 def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarray,
-             dt: float, t_end: float) -> np.ndarray:
-    """One classical Runge-Kutta step for dy/dt = f(t, y) from t to t_end = t + dt.
-
-    The end stage is evaluated at ``t_end`` as passed, which need not equal
-    the float t + dt: a caller stepping on t_start + step dt passes that
-    value, so the end stage and the next step's first stage share one time.
-    """
+             dt: float) -> np.ndarray:
+    """One classical Runge-Kutta step for dy/dt = f(t, y) from t to t + dt."""
     k1 = f(t, y)
     k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
     k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = f(t_end, y + dt * k3)
+    k4 = f(t + dt, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(rhs: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, tgrid: TimeGrid,
+def integrate(step: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, tgrid: TimeGrid,
               guard: Callable[[int, float, np.ndarray], None]) -> tuple[np.ndarray, list]:
-    """Step dy/dt = rhs(t, y) across ``tgrid`` with ``rk4_step`` on a raw array.
+    """Advance y by ``y = step(t, y)`` across ``tgrid``, t being the start of each step.
 
-    ``guard(step, t, y)`` runs after every step and raises to abort the run.
+    ``guard(n, t, y)`` runs after step n, ending at t, and raises to abort the run.
     Returns the sample times (``t_start`` included) and the arrays at those
-    times; none of them aliases ``y0`` or another sample.
+    times; the first is a copy of ``y0``, and the others alias nothing as
+    long as ``step`` returns a fresh array.
     """
     y = np.array(y0)
     t = tgrid.t_start
     times, ys = [t], [y]
-    for step in range(1, tgrid.n_steps + 1):
-        t_end = tgrid.t_start + step * tgrid.dt
-        y = rk4_step(rhs, t, y, tgrid.dt, t_end)
-        t = t_end
-        guard(step, t, y)
-        if step % tgrid.sample_stride == 0:
+    for n in range(1, tgrid.n_steps + 1):
+        y = step(t, y)
+        t = tgrid.t_start + n * tgrid.dt
+        guard(n, t, y)
+        if n % tgrid.sample_stride == 0:
             times.append(t)
             ys.append(y)
     return np.asarray(times), ys
 
 
-def coupling_rhs(model: AtomFieldModel,
-                 basis: FockBasis) -> Callable[[float, np.ndarray], np.ndarray]:
-    """rhs(t, Y) = -i (j(t) Y a+^T + j+(t) Y a^T) on amplitudes Y shaped (d, n_max + 1).
+def integrate_coupling(model: AtomFieldModel, Y0: np.ndarray, tgrid: TimeGrid,
+                       guard: Callable[[int, float, np.ndarray], None]) -> tuple[np.ndarray, list]:
+    """RK4 for dPsi/dt = -i H_I(t) Psi on Y shaped (d, n_max + 1), Psi = Y.ravel().
 
-    This is -i H_I(t) psi with psi = Y.ravel() (atom index first), without
-    building the composite Hamiltonian. Read with F = Y^T it is the
-    coefficient equation i dF_n/dt = sqrt(n) j F_{n-1} + sqrt(n+1) j+ F_{n+1}.
-
-    S = -i [j(t); j+(t)] is kept for the last stage time only: RK4's midpoint
-    stages share a time, and under ``integrate`` the end stage is the next
-    step's start.
+    H_I(t + s) = U0(t)+ H_I(s) U0(t), so the steps telescope to Psi_n =
+    U0(t_n)+ G^n U0(t_start) Psi_0 with G = U0(dt) M, M the RK4 map from 0.
+    ``guard`` reads the iterate G^n U0(t_start) Psi_0, whose norm and Fock
+    populations are those of Psi_n. The samples are shaped like Y0; the first is a copy of it.
     """
-    a = annihilation(basis)
-    a_t, a_dag_t = a.T, a.conj()
-    d = model.atom_dim
-    last_t, S = None, None
+    d, nf = Y0.shape
+    space = CompositeSpace(d, FockBasis(nf - 1))
+    n = np.arange(nf)
 
-    def rhs(t: float, Y: np.ndarray) -> np.ndarray:
-        nonlocal last_t, S
-        if t != last_t:
-            jt = rotated_current(model, t)
-            S = -1j * np.concatenate((jt, jt.conj().T))
-            last_t = t
-        JY = S @ Y
-        return JY[:d] @ a_dag_t + JY[d:] @ a_t
+    def U0(t):  # exp(-i (H_ato (x) 1 + omega 1 (x) a+a) t), atom index first
+        return np.kron(expm(-1j * t * model.h_ato), np.diag(np.exp(-1j * model.omega * t * n)))
 
-    return rhs
+    M = rk4_step(lambda s, X: -1j * interaction_hamiltonian(model, s, space) @ X,
+                 0.0, np.eye(d * nf, dtype=complex), tgrid.dt)
+    G = U0(tgrid.dt) @ M
+    start = (U0(tgrid.t_start) @ Y0.ravel()).reshape(d, nf)
+    times, ys = integrate(lambda t, Y: (G @ Y.ravel()).reshape(d, nf), start, tgrid, guard)
+    return times, [np.array(Y0)] + [(U0(-t) @ Y.ravel()).reshape(d, nf)
+                                    for t, Y in zip(times[1:], ys[1:])]
 
 
 def evolve_unitary(model: AtomFieldModel, psi0: CompositeState, grid: TimeGrid) -> Trajectory:
@@ -206,10 +200,10 @@ def evolve_unitary(model: AtomFieldModel, psi0: CompositeState, grid: TimeGrid) 
 
     def guard(step, t, Y):
         nrm = np.sqrt(np.vdot(Y, Y).real)
-        if abs(nrm - 1.0) > 1e-6:
+        if not abs(nrm - 1.0) <= 1e-6:
             raise RuntimeError(f"norm drifted to {nrm} at step {step}, t={t}; "
                                "dt too large or basis too small")
 
-    times, ys = integrate(coupling_rhs(model, space.fock), psi0.as_matrix(), grid, guard)
+    times, ys = integrate_coupling(model, psi0.as_matrix(), grid, guard)
     return Trajectory(times=times,
                       states=[CompositeState(space, Y.ravel(), norm_tol=1e-6) for Y in ys])

@@ -99,10 +99,38 @@ class TestConfig:
         ({"time": {"t_end": 0.5, "dt": 1e-3, "sample_stride": 0}}, "sample_stride"),
         ({"sampling": {"count": 0, "seed": 1}}, "sampling count"),
         ({"sampling": {"count": 10, "seed": -1}}, "sampling seed"),
+        ({"time": {"t_end": 0.5, "dt": 1e-3, "sample_strid": 100}}, "sample_strid in time"),
+        ({"seed": 3}, "seed in top level"),
+        ({"model": {"preset": "two-level", "g": 1.0, "detunning": 0.1}}, "detunning in model"),
+        ({"model": {"preset": "three-level", "g": 1.0}}, "preset 'three-level'"),
+        ({"model": {"atom_dim": 1, "h_ato": [[[0, 0]]], "j": [[[1, 0]]], "omega": 1.0,
+                    "g": 1.0}}, "g in model"),
+        ({"fock": {"n_max": 6, "M": 64}}, "M in fock"),
+        ({"grid": {"L": 5.0, "M": 64, "n": 1}}, "n in grid"),
+        ({"sampling": {"count": 10, "sed": 1}}, "sed in sampling"),
+        ({"model": {"preset": "two-level", "g": 1.0, "omega": float("nan")}}, "must be finite"),
     ])
     def test_invalid_values_are_refused_at_load(self, tmp_path, overrides, message):
         with pytest.raises(ValueError, match=message):
             small_config(tmp_path, **overrides)
+
+    def test_json_nan_is_refused(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(small_config(tmp_path).to_dict()).replace(
+            '"omega": 1.0', '"omega": NaN'))
+        with pytest.raises(ValueError, match="must be finite"):
+            ScenarioConfig.from_file(path)
+
+    def test_shipped_configs_load(self):
+        root = Path(__file__).resolve().parent.parent
+        readme = (root / "README.md").read_text()
+        docs = [json.loads(readme.split("A config document looks like\n\n```json\n")[1]
+                           .split("```")[0])]
+        configs = sorted((root / "perfbench" / "configs").glob("*.json"))
+        docs += [json.loads(path.read_text()) for path in configs]
+        assert len(docs) == 4
+        for doc in docs:
+            ScenarioConfig.from_dict(doc)
 
     def test_from_file(self, tmp_path):
         config = small_config(tmp_path)
@@ -314,17 +342,34 @@ class TestMain:
         (["--seed", "-3", "sample"], "sampling seed"),
         (["sample", "--count", "-5"], "sampling count"),
         (["sample", "--count", "0"], "sampling count"),
+        (["phasespace", "--time", "0.0005"], "--time 0.0005 is not a non-negative multiple"),
+        (["sample", "--time", "-1"], "--time -1 is not a non-negative multiple"),
+        (["--config", "missing.json", "rabi"], "No such file or directory: 'missing.json'"),
     ])
-    def test_bad_overrides_refused_before_evolving(self, tmp_path, monkeypatch, args,
+    def test_bad_overrides_refused_before_evolving(self, tmp_path, monkeypatch, capsys, args,
                                                    message):
         def evolve(*_):
             raise AssertionError("evolved before the overrides were validated")
 
         monkeypatch.setattr(unitary, "evolve_unitary", evolve)
         monkeypatch.setattr(swe, "evolve_swe", evolve)
-        with pytest.raises(ValueError, match=message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
             main(["--out", str(tmp_path / "out")] + args)
+        assert exit_info.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("semicav: error: ") and message in last
         assert not (tmp_path / "out").exists()
+
+    def test_config_errors_exit_with_usage_status(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        doc = small_config(tmp_path).to_dict()
+        del doc["fock"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--config", str(path), "rabi"])
+        assert exit_info.value.code == 2
+        assert "config is missing the key 'fock'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["rabi", "phasespace", "sample", "verify"])
     def test_every_verb_runs_from_defaults(self, tmp_path, verb):

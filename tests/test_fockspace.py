@@ -224,3 +224,9 @@ class TestCompositeAlgebra:
         CompositeState(space, amps)
         with pytest.raises(ValueError):
             CompositeState(space, 1.1 * amps)
+
+    def test_composite_state_refuses_nan(self):
+        amps = np.zeros(6, dtype=complex)
+        amps[0] = np.nan
+        with pytest.raises(ValueError, match="state norm nan"):
+            CompositeState(CompositeSpace(2, FockBasis(2)), amps, norm_tol=1.0)

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 from semicav.fockspace import CompositeSpace, FockBasis, coherent_amplitudes
 from semicav.phasespace import PhaseGrid, SemiclassicalObservable
+from semicav import swe
 from semicav.swe import (
     _K_CUT,
     GridOptions,
@@ -27,6 +28,7 @@ from semicav.unitary import (
     evolve_unitary,
     integrate,
     product_initial_state,
+    rk4_step,
     two_level_model,
 )
 
@@ -108,6 +110,32 @@ class TestInitialWave:
         with pytest.raises(ValueError):
             initial_wave(2.0 * EXCITED, grid64)
 
+    @pytest.mark.parametrize("backend", ["bargmann", "grid"])
+    def test_refuses_nan(self, grid64, backend):
+        rep = FockBasis(6) if backend == "bargmann" else grid64
+        with pytest.raises(ValueError, match="not normalized"):
+            initial_wave(np.array([np.nan, 0.0]), rep)
+        wave = initial_wave(EXCITED, rep)
+        amplitudes = "coeffs" if backend == "bargmann" else "values"
+        nan = np.full_like(getattr(wave, amplitudes), np.nan)
+        with pytest.raises(ValueError, match="total probability nan"):
+            SemiclassicalWave(backend, time=0.0, grid=wave.grid, basis=wave.basis,
+                              **{amplitudes: nan}, norm_tol=1.0)
+
+    def test_guards_refuse_nan(self, grid64):
+        model = two_level_model(g=1.0)
+        barg = initial_wave(EXCITED, FockBasis(6))
+        with pytest.raises(RuntimeError, match=r"probability nan .* at step 3, t=0\.5;"):
+            swe._coefficient_guard(barg)(3, 0.5, np.full((2, 7), np.nan, dtype=complex))
+        wave = initial_wave(EXCITED, grid64)
+        nan = np.full_like(wave.values, np.nan)
+        stepper = GridStepper(model, grid64)
+        with pytest.raises(RuntimeError, match=r"boundary mass grew by nan .*step 3, t=0\.5\)"):
+            swe._grid_guard(stepper, wave, None)(3, 0.5, nan)
+        unchecked = GridStepper(model, grid64, GridOptions(check_boundary=False))
+        with pytest.raises(ValueError, match=r"total probability nan .* at step 3, t=0\.5"):
+            swe._grid_guard(unchecked, wave, None)(3, 0.5, nan)
+
 
 class TestZeroSteps:
     @pytest.mark.parametrize("backend", ["bargmann", "grid"])
@@ -160,7 +188,7 @@ class TestBargmannStepper:
             evolve_swe(two_level_model(g=1.0), wave, TimeGrid(0.0, 1.0, 1e-2))
 
     def test_matches_oracle_on_three_levels(self, three_level_model):
-        # the coefficient backend integrates the oracle's ODE on F = Y^T
+        # the coefficient backend steps the oracle's coupling map on F = Y^T
         model = three_level_model
         basis = FockBasis(10)
         psi_ato = np.array([1.0, 0.0, 0.0], dtype=complex)
@@ -199,8 +227,8 @@ class TestGridStepper:
         stepper.damping = 0.0
         wave = initial_wave(EXCITED, grid64)
         dt, n_steps = 1e-3, 100
-        _, ys = integrate(stepper.rhs, wave.values, TimeGrid(0.0, n_steps * dt, dt, n_steps),
-                          lambda step, t, psi: None)
+        _, ys = integrate(lambda t, psi: rk4_step(stepper.rhs, t, psi, dt), wave.values,
+                          TimeGrid(0.0, n_steps * dt, dt, n_steps), lambda step, t, psi: None)
         current = ys[-1]
         t = n_steps * dt
         a_conj = np.conj(grid64.nodes())
@@ -280,8 +308,8 @@ class TestGridStepper:
 
         y0 = initial_wave(EXCITED, grid64).values
         y0_kept = y0.copy()
-        _, ys = integrate(stepper.rhs, y0, TimeGrid(0.0, 5e-3, 1e-3),
-                          lambda step, t, psi: None)
+        _, ys = integrate(lambda t, psi: rk4_step(stepper.rhs, t, psi, 1e-3), y0,
+                          TimeGrid(0.0, 5e-3, 1e-3), lambda step, t, psi: None)
         np.testing.assert_array_equal(y0, y0_kept)
         arrays = [y0] + ys
         assert len(arrays) == 7

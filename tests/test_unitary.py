@@ -13,12 +13,12 @@ from semicav.fockspace import (
 from semicav.unitary import (
     AtomFieldModel,
     TimeGrid,
-    coupling_rhs,
     density_operator,
     evolve_unitary,
     integrate,
     interaction_hamiltonian,
     product_initial_state,
+    rk4_step,
     rotated_current,
     two_level_model,
 )
@@ -65,6 +65,16 @@ class TestRotatedCurrent:
         model = two_level_model(g=1.3)
         for t in (0.5, 2.0, 9.1):
             np.testing.assert_allclose(rotated_current(model, t), model.j, atol=1e-12)
+
+    @pytest.mark.parametrize("field", ["h_ato", "j", "omega"])
+    def test_refuses_non_finite_model(self, field):
+        entries = {"h_ato": np.diag([0.5, -0.5]), "j": SIGMA_MINUS.copy(), "omega": 1.0}
+        if field == "omega":
+            entries["omega"] = np.nan
+        else:
+            entries[field][0, 0] = np.inf
+        with pytest.raises(ValueError, match="must be finite"):
+            AtomFieldModel(2, **entries)
 
     def test_hermiticity_validation(self):
         with pytest.raises(ValueError):
@@ -118,6 +128,15 @@ class TestInitialStates:
         space = CompositeSpace(2, FockBasis(4))
         with pytest.raises(ValueError):
             product_initial_state(2.0 * EXCITED, vacuum(4), space)
+
+    def test_rejects_nan(self):
+        space = CompositeSpace(2, FockBasis(4))
+        with pytest.raises(ValueError, match="atomic factor"):
+            product_initial_state(np.array([np.nan, 0.0]), vacuum(4), space)
+        field = vacuum(4)
+        field[2] = np.nan
+        with pytest.raises(ValueError, match="field factor"):
+            product_initial_state(EXCITED, field, space)
 
 
 class TestEvolution:
@@ -185,6 +204,12 @@ class TestEvolution:
             evolve_unitary(model, psi0, TimeGrid(0.0, 1.0, 1.0 / np.floor(norm / 0.05)))
         evolve_unitary(model, psi0, TimeGrid(0.0, 0.1, 0.1 / np.ceil(2.0 * norm), 1000))
 
+    def test_norm_guard_refuses_nan(self):
+        model, space, psi0 = rabi_setup()
+        psi0.amplitudes[3] = np.nan  # after the constructor's check
+        with pytest.raises(RuntimeError, match=r"norm drifted to nan at step 1, t=0\.01;"):
+            evolve_unitary(model, psi0, TimeGrid(0.0, 1.0, 0.01))
+
     def test_norm_guard_names_step_and_time(self):
         model, space, _ = rabi_setup()
         amps = np.zeros(space.total_dim, dtype=complex)
@@ -194,67 +219,76 @@ class TestEvolution:
             evolve_unitary(model, psi0, TimeGrid(0.0, 1.0, 0.01))
 
 
+def stepwise_rk4(model, space, Y0, tgrid):
+    """Classical RK4 of -i H_I(t) y, one step at a time: the samples of ``tgrid``."""
+    f = lambda t, y: -1j * interaction_hamiltonian(model, t, space) @ y
+    dt = tgrid.dt
+    y = Y0.ravel()
+    samples = [y]
+    for n in range(1, tgrid.n_steps + 1):
+        t = tgrid.t_start + (n - 1) * dt
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
+        k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+        k4 = f(t + dt, y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if n % tgrid.sample_stride == 0:
+            samples.append(y)
+    return samples
+
+
 class TestCouplingOde:
-    def test_matches_interaction_hamiltonian_on_three_levels(self, three_level_model):
-        model = three_level_model
-        space = CompositeSpace(3, FockBasis(6))
-        rhs = coupling_rhs(model, space.fock)
+    @pytest.mark.parametrize("which", ["three_level", "detuned_two_level"])
+    def test_step_map_matches_stepwise_rk4(self, which, request):
+        if which == "three_level":
+            model = request.getfixturevalue("three_level_model")
+            space = CompositeSpace(3, FockBasis(6))
+        else:
+            model, space = two_level_model(g=0.7, detuning=0.9), CompositeSpace(2, FockBasis(5))
         rng = np.random.default_rng(17)
-        Y = rng.normal(size=(3, 7)) + 1j * rng.normal(size=(3, 7))
-        for t in (0.0, 0.4, 1.7, 5.3):
-            expected = -1j * interaction_hamiltonian(model, t, space) @ Y.ravel()
-            assert np.max(np.abs(rhs(t, Y).ravel() - expected)) <= 1e-14
-        # j(t) is remembered per stage time: interleaved times and states must not mix
-        Y2 = rng.normal(size=(3, 7)) + 1j * rng.normal(size=(3, 7))
-        t1, t2 = 0.9, 2.6
-        for t, Yk in ((t1, Y), (t1, Y2), (t2, Y), (t1, Y)):
-            expected = -1j * interaction_hamiltonian(model, t, space) @ Yk.ravel()
-            assert np.max(np.abs(rhs(t, Yk).ravel() - expected)) <= 1e-14
+        shape = (space.atom_dim, space.fock.dim)
+        Y0 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        Y0 /= np.linalg.norm(Y0)
+        tgrid = TimeGrid(0.3, 2.7, 0.02, 30)
+        seen = {}
 
-    def test_end_stage_is_next_step_start(self, three_level_model, monkeypatch):
-        # integrate evaluates each end stage at t_start + step dt, the float that the
-        # guard, the samples and the next step's first stage use
-        model = three_level_model
-        space = CompositeSpace(3, FockBasis(6))
-        counted = []
-        monkeypatch.setattr(unitary, "rotated_current",
-                            lambda m, t: counted.append(t) or rotated_current(m, t))
-        rhs = coupling_rhs(model, space.fock)
-        calls = []
+        def guard(step, t, Y):
+            assert Y.shape == shape
+            seen[step] = (t, np.vdot(Y, Y).real, np.vdot(Y[:, -1], Y[:, -1]).real)
 
-        def recording(t, Y):
-            out = rhs(t, Y)
-            calls.append((t, Y, out))
-            return out
-
-        tgrid = TimeGrid(0.3, 4.5, 0.07, 4)
-        guard_times = []
-        Y0 = np.zeros((3, 7), dtype=complex)
-        Y0[0, 0] = 1.0
-        times, _ = integrate(recording, Y0, tgrid, lambda step, t, Y: guard_times.append(t))
-        starts, ends = [c[0] for c in calls[0::4]], [c[0] for c in calls[3::4]]
-        assert ends == guard_times == [0.3 + s * 0.07 for s in range(1, 61)]
-        assert starts[1:] == ends[:-1]
-        assert list(times[1:]) == guard_times[3::4]
-        # this grid has steps whose t + dt rounds differently from t_start + step dt
-        assert any(t + 0.07 != t_end for t, t_end in zip(starts, ends))
-        # j(t) once per distinct stage time: the start, and a midpoint and an end per step
-        assert len(counted) == 2 * 60 + 1
-        # stage times interleave with states; every value must still be -i H_I(t) Y
-        monkeypatch.undo()
-        for t, Y, out in calls:
-            expected = -1j * interaction_hamiltonian(model, t, space) @ Y.ravel()
-            assert np.max(np.abs(out.ravel() - expected)) <= 1e-14
+        times, ys = unitary.integrate_coupling(model, Y0, tgrid, guard)
+        expected = stepwise_rk4(model, space, Y0, tgrid)
+        np.testing.assert_array_equal(times, [0.3 + n * 0.02 for n in range(0, 121, 30)])
+        np.testing.assert_array_equal(ys[0], Y0)
+        assert ys[0] is not Y0
+        assert len(ys) == len(expected) == 5
+        for Y, y in zip(ys, expected):
+            assert Y.shape == shape
+            assert np.max(np.abs(Y.ravel() - y)) <= 1e-12
+        # the guards read the raw iterate: its norm and top-Fock population are the state's
+        assert sorted(seen) == list(range(1, 121))
+        for n, Y in zip(range(30, 121, 30), ys[1:]):
+            t, norm_sq, top = seen[n]
+            assert t == 0.3 + n * 0.02
+            assert norm_sq == pytest.approx(np.vdot(Y, Y).real, abs=1e-14)
+            assert top == pytest.approx(np.vdot(Y[:, -1], Y[:, -1]).real, abs=1e-14)
 
     def test_integrate_samples_and_guards(self):
-        # dy/dt = y: RK4 samples track e^t; the guard sees every step
-        seen = []
-        times, ys = integrate(lambda t, y: y, np.ones(2), TimeGrid(0.0, 1.0, 0.01, 25),
+        # dy/dt = y: RK4 samples track e^t; the guard sees every step, and each
+        # step starts at the time the guard saw after the step before
+        seen, starts = [], []
+
+        def step(t, y):
+            starts.append(t)
+            return rk4_step(lambda s, x: x, t, y, 0.01)
+
+        times, ys = integrate(step, np.ones(2), TimeGrid(0.0, 1.0, 0.01, 25),
                               lambda step, t, y: seen.append((step, t)))
         np.testing.assert_allclose(times, [0.0, 0.25, 0.5, 0.75, 1.0])
         np.testing.assert_allclose([y[0] for y in ys], np.exp(times), rtol=1e-9)
         assert [s for s, _ in seen] == list(range(1, 101))
         assert seen[-1][1] == pytest.approx(1.0, abs=1e-15)
+        assert starts == [0.0] + [t for _, t in seen[:-1]]
 
 
 class TestDensityOperator:
@@ -281,7 +315,7 @@ class TestTimeGrid:
             TimeGrid(0.0, 1.0, 0.3)
 
     def test_sample_times(self):
-        times, _ = integrate(lambda t, y: y, np.ones(1), TimeGrid(0.0, 1.0, 0.1, 5),
+        times, _ = integrate(lambda t, y: 2.0 * y, np.ones(1), TimeGrid(0.0, 1.0, 0.1, 5),
                              lambda step, t, y: None)
         np.testing.assert_allclose(times, [0.0, 0.5, 1.0])
 
@@ -302,4 +336,10 @@ class TestTimeGrid:
         model, _, psi0 = rabi_setup()
         traj = evolve_unitary(model, psi0, TimeGrid(0.0, 0.0, 1e-3))
         assert list(traj.times) == [0.0] and len(traj.states) == 1
+        np.testing.assert_array_equal(traj.states[0].amplitudes, psi0.amplitudes)
+
+    def test_zero_steps_late_start_has_no_free_evolution_round_trip(self):
+        model, _, psi0 = rabi_setup(detuning=0.4)
+        traj = evolve_unitary(model, psi0, TimeGrid(0.7, 0.7, 1e-3))
+        assert list(traj.times) == [0.7] and len(traj.states) == 1
         np.testing.assert_array_equal(traj.states[0].amplitudes, psi0.amplitudes)
