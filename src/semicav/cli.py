@@ -40,6 +40,19 @@ def _matrix_from_json(rows) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
+def _read(part: dict, section: str, key: str, kind: type, default=None):
+    """``part[key]`` (or ``default``, if given, for a missing key) as ``kind``. Refuses,
+    naming the key, another JSON type, a boolean and, for ``int``, a fractional number."""
+    value = part[key] if default is None else part.get(key, default)
+    types, noun = {int: ((int, float), "an integer"), float: ((int, float), "a number"),
+                   str: ((str,), "a string"), list: ((list,), "a list"),
+                   dict: ((dict,), "an object")}[kind]
+    if not isinstance(value, types) or isinstance(value, bool) \
+            or (kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} in {section} must be {noun}, got {value!r}")
+    return kind(value)
+
+
 @dataclass
 class ScenarioConfig:
     """Validated scenario description; the model is always explicit matrices."""
@@ -74,44 +87,44 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
-        model_doc = dict(doc["model"])
+        model_doc, fock, grid, time = (_read(doc, "top level", section, dict)
+                                       for section in ("model", "fock", "grid", "time"))
+        sampling = _read(doc, "top level", "sampling", dict, {})
         preset = model_doc.get("preset")
         if preset not in (None, "two-level"):
             raise ValueError(f"unknown model preset {preset!r}")
         model_keys = "preset g detuning omega" if preset else "atom_dim h_ato j omega"
-        sampling = doc.get("sampling") or {}
         for section, part, keys in (
                 ("top level", doc, "model fock grid time swe_backend sampling output_dir"),
-                ("model", model_doc, model_keys), ("fock", doc["fock"], "n_max"),
-                ("grid", doc["grid"], "L M"), ("time", doc["time"], "t_end dt sample_stride"),
-                ("sampling", sampling, "count seed")):
+                ("model", model_doc, model_keys), ("fock", fock, "n_max"), ("grid", grid, "L M"),
+                ("time", time, "t_end dt sample_stride"), ("sampling", sampling, "count seed")):
             if unknown := sorted(set(part) - set(keys.split())):
                 raise ValueError(f"unknown config key(s) {', '.join(unknown)} in {section}")
         if preset:
             model = unitary.two_level_model(
-                g=float(model_doc["g"]),
-                detuning=float(model_doc.get("detuning", 0.0)),
-                omega=float(model_doc.get("omega", 1.0)),
+                g=_read(model_doc, "model", "g", float),
+                detuning=_read(model_doc, "model", "detuning", float, 0.0),
+                omega=_read(model_doc, "model", "omega", float, 1.0),
             )
         else:
             model = unitary.AtomFieldModel(
-                atom_dim=int(model_doc["atom_dim"]),
-                h_ato=_matrix_from_json(model_doc["h_ato"]),
-                j=_matrix_from_json(model_doc["j"]),
-                omega=float(model_doc["omega"]),
+                atom_dim=_read(model_doc, "model", "atom_dim", int),
+                h_ato=_matrix_from_json(_read(model_doc, "model", "h_ato", list)),
+                j=_matrix_from_json(_read(model_doc, "model", "j", list)),
+                omega=_read(model_doc, "model", "omega", float),
             )
         return cls(
             model=model,
-            n_max=int(doc["fock"]["n_max"]),
-            L=float(doc["grid"]["L"]),
-            M=int(doc["grid"]["M"]),
-            t_end=float(doc["time"]["t_end"]),
-            dt=float(doc["time"]["dt"]),
-            sample_stride=int(doc["time"].get("sample_stride", 1)),
-            swe_backend=doc.get("swe_backend", "bargmann"),
-            sample_count=int(sampling["count"]) if "count" in sampling else None,
-            sample_seed=int(sampling["seed"]) if "seed" in sampling else None,
-            output_dir=doc.get("output_dir", "semicav_out"),
+            n_max=_read(fock, "fock", "n_max", int),
+            L=_read(grid, "grid", "L", float),
+            M=_read(grid, "grid", "M", int),
+            t_end=_read(time, "time", "t_end", float),
+            dt=_read(time, "time", "dt", float),
+            sample_stride=_read(time, "time", "sample_stride", int, 1),
+            swe_backend=_read(doc, "top level", "swe_backend", str, "bargmann"),
+            sample_count=_read(sampling, "sampling", "count", int) if "count" in sampling else None,
+            sample_seed=_read(sampling, "sampling", "seed", int) if "seed" in sampling else None,
+            output_dir=_read(doc, "top level", "output_dir", str, "semicav_out"),
         )
 
     @classmethod
@@ -224,7 +237,7 @@ def cmd_rabi(config: ScenarioConfig) -> RunReport:
     d = config.model.atom_dim
     projectors = [
         phasespace.SemiclassicalObservable.constant(
-            1.0, atom_op=np.diag((np.arange(d) == i).astype(complex)), name=f"P_{i}")
+            1.0, atom_op=np.diag((np.arange(d) == i).astype(complex)))
         for i in range(d)
     ]
     for t, state, wave in zip(trajectory.times, trajectory.states, waves):

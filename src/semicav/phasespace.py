@@ -133,16 +133,14 @@ class PhaseFunction:
 class OperatorPhaseField:
     """Atomic-matrix-valued field: values[ix, iy] is a d x d matrix.
 
-    The ``husimi`` kind must be Hermitian positive semidefinite node by
-    node; ``psd_tol`` loosens that check for fields produced by quadrature
-    (Gaussian smoothing of a sharp field) rather than by the closed-form
-    coherent-state diagonal.
+    The ``husimi`` kind is Hermitian positive semidefinite node by node. The
+    constructor checks only the shape: the transforms check the density
+    operator they start from, and ``coarse_grain`` its smoothed node matrices.
     """
 
     grid: PhaseGrid
     values: np.ndarray
     kind: str = "sharp"
-    psd_tol: float = 1e-10
     truncation_flags: np.ndarray | None = None
 
     def __post_init__(self):
@@ -153,14 +151,6 @@ class OperatorPhaseField:
         if self.values.ndim != 4 or self.values.shape[:2] != (M, M) \
                 or self.values.shape[2] != self.values.shape[3]:
             raise ValueError("values must have shape (M, M, d, d)")
-        if self.kind == "husimi":
-            herm_defect = np.max(np.abs(self.values - self.values.conj().transpose(0, 1, 3, 2)))
-            if herm_defect > self.psd_tol:
-                raise ValueError(f"node matrices deviate from Hermitian by {herm_defect}")
-            eigs = np.linalg.eigvalsh(0.5 * (self.values
-                                             + self.values.conj().transpose(0, 1, 3, 2)))
-            if eigs.min() < -self.psd_tol:
-                raise ValueError(f"node matrices have eigenvalue {eigs.min()}")
 
     def atomic_trace(self) -> PhaseFunction:
         tr = np.einsum("xyii->xy", self.values)
@@ -208,24 +198,22 @@ class SemiclassicalObservable:
 
     poly: dict[tuple[int, int], complex]
     atom_op: np.ndarray | None = None
-    name: str = ""
 
     def __post_init__(self):
         if self.atom_op is not None:
             self.atom_op = np.asarray(self.atom_op, dtype=complex)
 
     @classmethod
-    def from_poly(cls, poly: dict[tuple[int, int], complex],
-                  atom_op: np.ndarray | None = None, name: str = ""):
-        return cls(poly=dict(poly), atom_op=atom_op, name=name)
+    def from_poly(cls, poly: dict[tuple[int, int], complex], atom_op: np.ndarray | None = None):
+        return cls(poly=dict(poly), atom_op=atom_op)
 
     @classmethod
-    def constant(cls, c: complex = 1.0, atom_op: np.ndarray | None = None, name: str = ""):
-        return cls.from_poly({(0, 0): c}, atom_op=atom_op, name=name)
+    def constant(cls, c: complex = 1.0, atom_op: np.ndarray | None = None):
+        return cls.from_poly({(0, 0): c}, atom_op=atom_op)
 
     @classmethod
     def abs_square(cls):
-        return cls.from_poly({(1, 1): 1.0}, name="|a|^2")
+        return cls.from_poly({(1, 1): 1.0})
 
     def evaluate(self, a: np.ndarray) -> np.ndarray:
         out = np.zeros_like(a, dtype=complex)
@@ -253,8 +241,7 @@ class SemiclassicalObservable:
                 moment = factorial(p) * 0.5 ** p
                 key = (j - p, k - p)
                 out[key] = out.get(key, 0.0) + c * comb(j, p) * comb(k, p) * moment
-        return SemiclassicalObservable.from_poly(out, atom_op=self.atom_op,
-                                                 name=f"smoothed({self.name})")
+        return SemiclassicalObservable.from_poly(out, atom_op=self.atom_op)
 
 
 def characteristic_function(rho_field: np.ndarray, lam: complex) -> CharacteristicSample:
@@ -349,6 +336,26 @@ def _invert_characteristic(chi: np.ndarray, grid: PhaseGrid) -> np.ndarray:
     return np.swapaxes(w, 0, 1) * (delta ** 2 / np.pi ** 2)
 
 
+def _check_psd(ops: np.ndarray, tol: float, what: str) -> None:
+    """Refuse square matrices, stacked over leading axes, not Hermitian PSD within ``tol``."""
+    adjoint = np.swapaxes(ops.conj(), -1, -2)
+    defect = float(np.max(np.abs(ops - adjoint)))
+    if not defect <= tol:
+        raise ValueError(f"{what} not Hermitian: defect {defect}")
+    low = float(np.min(np.linalg.eigvalsh(0.5 * (ops + adjoint))))
+    if not low >= -tol:
+        raise ValueError(f"{what} not positive semidefinite: eigenvalue {low}")
+
+
+def _density_operator(rho: np.ndarray, space: CompositeSpace) -> np.ndarray:
+    """Shape (D, D), Hermitian and PSD within 1e-10: the one check of both transforms' input."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (space.total_dim, space.total_dim):
+        raise ValueError(f"density operator has shape {rho.shape}")
+    _check_psd(rho, 1e-10, "density operator")
+    return rho
+
+
 def _check_grid_covers(w: np.ndarray, grid: PhaseGrid) -> None:
     """Reject transforms whose mass reaches the edge of the periodic grid.
 
@@ -381,10 +388,8 @@ def sharp_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> Op
     and the quadrature over the grid is the reduced atomic density
     operator.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _density_operator(rho, space)
     d, nf = space.atom_dim, space.fock.dim
-    if rho.shape != (space.total_dim, space.total_dim):
-        raise ValueError(f"density operator has shape {rho.shape}")
     blocks = rho.reshape(d, nf, d, nf).transpose(1, 3, 0, 2)
     values = _invert_characteristic(_chi_on_grid(blocks, grid.lambda_nodes()), grid)
     _check_grid_covers(np.einsum("xyii->xy", values), grid)
@@ -426,8 +431,8 @@ def coarse_grain(f):
         vals = smoothed.real if kind == "husimi" else smoothed
         return PhaseFunction(grid, vals, kind=kind)
     if isinstance(f, OperatorPhaseField):
-        kind = "husimi" if f.kind == "sharp" else f.kind
-        return OperatorPhaseField(grid, smoothed, kind=kind, psd_tol=max(1e-10, grid.tol))
+        _check_psd(smoothed, max(1e-10, grid.tol), "smoothed node matrix")
+        return OperatorPhaseField(grid, smoothed, kind="husimi")
     raise TypeError(f"cannot coarse-grain {type(f).__name__}")
 
 
@@ -441,7 +446,7 @@ def _coherent_overlap_matrix(a: np.ndarray, n_max: int) -> np.ndarray:
 def husimi_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> OperatorPhaseField:
     """Coherent-state diagonal (1/pi) <a|rho|a> over the field factor.
 
-    The node matrices are Hermitian positive semidefinite by construction.
+    The node matrices are Hermitian positive semidefinite because rho is.
     Nodes beyond |a| = sqrt(n_max)/2 whose truncated coherent expansion
     misses more than 1e-10 of its weight are flagged in
     ``truncation_flags``: values there are exact for states inside the
@@ -452,10 +457,8 @@ def husimi_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> O
     contraction with the overlaps over n, so the (M, M, n_max + 1) overlap
     is never built.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _density_operator(rho, space)
     d, nf = space.atom_dim, space.fock.dim
-    if rho.shape != (space.total_dim, space.total_dim):
-        raise ValueError(f"density operator has shape {rho.shape}")
     rho_m = rho.reshape(d, nf, d, nf).transpose(1, 0, 2, 3).reshape(nf, d * d * nf)
     # (C.view(float) @ rho_real).view(complex) == C.conj() @ rho_m
     rho_real = np.empty((2 * nf, 2 * d * d * nf))

@@ -26,7 +26,7 @@ norm of the current operator, which the interaction-picture rotation leaves
 invariant.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
@@ -70,8 +70,8 @@ class SemiclassicalWave:
 
     Grid variant: ``values`` has shape (M, M, d) over ``grid``. Bargmann
     variant: ``coeffs`` has shape (n_max + 1, d) over ``basis``. The unit
-    total probability check uses ``norm_tol`` when given, otherwise the
-    grid tolerance (grid variant) or 1e-10 (coefficient variant).
+    total probability check and the steppers' guards use ``norm_tol``, by
+    default the grid tolerance (grid variant) or 1e-10 (coefficient variant).
     """
 
     representation: str
@@ -90,19 +90,19 @@ class SemiclassicalWave:
             M = self.grid.M
             if self.values.ndim != 3 or self.values.shape[:2] != (M, M):
                 raise ValueError("values must have shape (M, M, d)")
-            tol = self.norm_tol if self.norm_tol is not None else self.grid.tol
+            self.norm_tol = self.grid.tol if self.norm_tol is None else self.norm_tol
         elif self.representation == "bargmann":
             if self.basis is None or self.coeffs is None:
                 raise ValueError("bargmann representation requires basis and coeffs")
             self.coeffs = np.asarray(self.coeffs, dtype=complex)
             if self.coeffs.ndim != 2 or self.coeffs.shape[0] != self.basis.dim:
                 raise ValueError("coeffs must have shape (n_max + 1, d)")
-            tol = self.norm_tol if self.norm_tol is not None else 1e-10
+            self.norm_tol = 1e-10 if self.norm_tol is None else self.norm_tol
         else:
             raise ValueError(f"unknown representation {self.representation!r}")
         total = self.total_probability()
-        if not abs(total - 1.0) <= tol:
-            raise ValueError(f"total probability {total} deviates from 1 beyond {tol}")
+        if not abs(total - 1.0) <= self.norm_tol:
+            raise ValueError(f"total probability {total} deviates from 1 beyond {self.norm_tol}")
 
     @property
     def atom_dim(self) -> int:
@@ -235,7 +235,6 @@ class GridStepper:
 
 def _coefficient_guard(wave: SemiclassicalWave):
     """Per-step checks of the coefficient backend on Y = F^T, shaped (d, n_max + 1)."""
-    tol = wave.norm_tol if wave.norm_tol is not None else 1e-10
 
     def guard(step, t, Y):
         top = float(np.vdot(Y[:, -1], Y[:, -1]).real)
@@ -243,8 +242,8 @@ def _coefficient_guard(wave: SemiclassicalWave):
             raise RuntimeError(f"probability {top} at the truncation edge at step {step}, "
                                f"t={t}; raise n_max")
         total = float(np.vdot(Y, Y).real)
-        if not abs(total - 1.0) <= tol:
-            raise ValueError(f"total probability {total} deviates from 1 beyond {tol} "
+        if not abs(total - 1.0) <= wave.norm_tol:
+            raise ValueError(f"total probability {total} deviates from 1 beyond {wave.norm_tol} "
                              f"at step {step}, t={t}")
 
     return guard
@@ -254,7 +253,7 @@ def _grid_guard(stepper: GridStepper, wave: SemiclassicalWave, tol: float | None
     """Per-step checks of the grid backend: boundary-mass growth, then unit probability."""
     grid = stepper.grid
     check = stepper.options.check_boundary
-    tol = tol if tol is not None else grid.tol
+    tol = wave.norm_tol if tol is None else tol
     initial = previous = _boundary_mass(np.abs(wave.values) ** 2, grid)
 
     def guard(step, t, psi):
@@ -314,7 +313,7 @@ def evaluate_on_grid(wave: SemiclassicalWave, grid: PhaseGrid) -> SemiclassicalW
     B = _basis_matrix(grid.nodes(), wave.basis.n_max)
     values = np.einsum("xyn,nd->xyd", B, wave.coeffs)
     return SemiclassicalWave("grid", time=wave.time, grid=grid, values=values,
-                             norm_tol=max(grid.tol, wave.norm_tol or 0.0))
+                             norm_tol=max(grid.tol, wave.norm_tol))
 
 
 def field_density(wave: SemiclassicalWave, grid: PhaseGrid | None = None) -> PhaseFunction:

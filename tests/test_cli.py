@@ -109,6 +109,19 @@ class TestConfig:
         ({"grid": {"L": 5.0, "M": 64, "n": 1}}, "n in grid"),
         ({"sampling": {"count": 10, "sed": 1}}, "sed in sampling"),
         ({"model": {"preset": "two-level", "g": 1.0, "omega": float("nan")}}, "must be finite"),
+        ({"fock": {"n_max": 4.7}}, "n_max in fock must be an integer, got 4.7"),
+        ({"grid": {"L": 5.0, "M": 64.5}}, "M in grid must be an integer"),
+        ({"time": {"t_end": 0.5, "dt": 1e-3, "sample_stride": 99.5}}, "sample_stride in time"),
+        ({"sampling": {"count": 10.5, "seed": 1}}, "count in sampling must be an integer"),
+        ({"sampling": {"count": 10, "seed": 1.5}}, "seed in sampling must be an integer"),
+        ({"sampling": {"count": True, "seed": 1}}, "count in sampling must be an integer, got True"),
+        ({"fock": {"n_max": "6"}}, "n_max in fock must be an integer, got '6'"),
+        ({"fock": 5}, "fock in top level must be an object, got 5"),
+        ({"sampling": [10, 1]}, "sampling in top level must be an object"),
+        ({"model": {"preset": "two-level", "g": "x"}}, "g in model must be a number, got 'x'"),
+        ({"model": {"atom_dim": 1, "h_ato": 0, "j": [[[1, 0]]], "omega": 1.0}},
+         "h_ato in model must be a list"),
+        ({"swe_backend": 1}, "swe_backend in top level must be a string"),
     ])
     def test_invalid_values_are_refused_at_load(self, tmp_path, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -360,6 +373,21 @@ class TestMain:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("semicav: error: ") and message in last
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("fock", 5, "fock in top level must be an object, got 5"),
+        ("model", {"preset": "two-level", "g": "x"}, "g in model must be a number, got 'x'"),
+        ("fock", {"n_max": 4.7}, "n_max in fock must be an integer, got 4.7"),
+    ])
+    def test_mistyped_config_value_names_its_key(self, tmp_path, capsys, section, value, message):
+        path = tmp_path / "config.json"
+        doc = small_config(tmp_path).to_dict()
+        doc[section] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--config", str(path), "rabi"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"semicav: error: {message}"
 
     def test_config_errors_exit_with_usage_status(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -256,6 +256,15 @@ class TestCoarseGrain:
         with pytest.raises(ValueError, match="boundary"):
             coarse_grain(f)
 
+    def test_refuses_non_psd_smoothed_field(self, default_grid):
+        # a sharp field corrupted by minus twice the vacuum Wigner function in one
+        # atomic level smooths to node matrices with an eigenvalue <= -1/pi at a = 0
+        rho = random_composite_density(np.random.default_rng(14), 2, 8, edge_margin=4)
+        values = sharp_density(rho, CompositeSpace(2, FockBasis(8)), default_grid).values
+        values[..., 1, 1] -= 2.0 * wigner(fock_density(0, 8), default_grid).values
+        with pytest.raises(ValueError, match="smoothed node matrix not positive semidefinite"):
+            coarse_grain(OperatorPhaseField(default_grid, values, kind="sharp"))
+
     def test_kernel_invariants(self, default_grid):
         kernel = GaussianKernel.vacuum(default_grid)
         r2 = np.abs(default_grid.nodes()) ** 2
@@ -338,11 +347,32 @@ class TestHusimi:
         inside = np.abs(default_grid.nodes()) <= 0.5 * np.sqrt(8.0)
         assert not flags[inside].any()
 
-    def test_husimi_kind_validation(self, default_grid):
-        bad = np.zeros((128, 128, 2, 2), dtype=complex)
-        bad[..., 0, 0] = -1.0
-        with pytest.raises(ValueError):
-            OperatorPhaseField(default_grid, bad, kind="husimi")
+    @pytest.mark.parametrize("transform", [husimi_density, sharp_density])
+    def test_transforms_refuse_invalid_rho(self, transform):
+        grid = PhaseGrid(5.0, 32)
+        space = CompositeSpace(2, FockBasis(8))
+        skewed = random_composite_density(np.random.default_rng(10), 2, 8)
+        skewed[0, 1] += 1e-6
+        with pytest.raises(ValueError, match="density operator not Hermitian: defect 1.0000"):
+            transform(skewed, space, grid)
+        negative = tensor(np.diag([1.1, -0.1]), fock_density(0, 8))
+        with pytest.raises(ValueError, match="not positive semidefinite: eigenvalue -0.1"):
+            transform(negative, space, grid)
+        with pytest.raises(ValueError, match="density operator has shape"):
+            transform(fock_density(0, 8), space, grid)
+
+    def test_eigendecomposes_rho_not_the_nodes(self, default_grid, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        rho = random_composite_density(np.random.default_rng(12), 2, 8)
+        husimi_density(rho, CompositeSpace(2, FockBasis(8)), default_grid)
+        assert shapes == [(18, 18)]
 
 
 class TestExpectations:
