@@ -36,8 +36,17 @@ def _matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, complex)]
 
 
-def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+def _matrix_from_json(model_doc: dict, key: str) -> np.ndarray:
+    """``model_doc[key]``, a square list of rows of ``[re, im]`` number pairs, as a
+    complex matrix. Refuses, naming the key, any other shape or entry type."""
+    rows = _read(model_doc, "model", key, list)
+    d = len(rows)
+    entries = [z for row in rows if isinstance(row, list) and len(row) == d for z in row]
+    if len(entries) != d * d or not all(isinstance(z, list) and len(z) == 2 and all(
+            type(x) in (int, float) for x in z) for z in entries):  # bool is not a number
+        raise ValueError(f"{key} in model must be a square list of rows of [re, im] "
+                         f"number pairs, got {rows!r}")
+    return np.array([complex(re, im) for re, im in entries], dtype=complex).reshape(d, d)
 
 
 def _read(part: dict, section: str, key: str, kind: type, default=None):
@@ -87,6 +96,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"top level must be an object, got {doc!r}")
         model_doc, fock, grid, time = (_read(doc, "top level", section, dict)
                                        for section in ("model", "fock", "grid", "time"))
         sampling = _read(doc, "top level", "sampling", dict, {})
@@ -109,8 +120,8 @@ class ScenarioConfig:
         else:
             model = unitary.AtomFieldModel(
                 atom_dim=_read(model_doc, "model", "atom_dim", int),
-                h_ato=_matrix_from_json(_read(model_doc, "model", "h_ato", list)),
-                j=_matrix_from_json(_read(model_doc, "model", "j", list)),
+                h_ato=_matrix_from_json(model_doc, "h_ato"),
+                j=_matrix_from_json(model_doc, "j"),
                 omega=_read(model_doc, "model", "omega", float),
             )
         return cls(
@@ -184,17 +195,20 @@ class RunReport:
         return {"config": self.config.to_dict(), "rows": self.rows}
 
 
-def _write_csv(path: Path, header_meta: dict, columns: list[str], rows) -> None:
+def _write_csv(path: Path, header_meta: dict, columns: list[str], table: np.ndarray) -> None:
     """The one CSV writer: a ``# key=value`` metadata line, a header, then each
-    row's cells as shortest round-trip floats."""
+    row of the ``(N, len(columns))`` float table as shortest round-trip floats.
+
+    Rows are converted in blocks of 4096, so the Python floats of the whole
+    table never exist at once."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         meta = " ".join(f"{k}={v}" for k, v in header_meta.items())
         fh.write(f"# {meta}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+        fh.write(",".join(columns) + "\r\n")
+        for start in range(0, len(table), 4096):
+            fh.write("".join(",".join(map(repr, row)) + "\r\n"
+                             for row in table[start:start + 4096].tolist()))
 
 
 def _grid_table(grid: phasespace.PhaseGrid, values: np.ndarray) -> np.ndarray:
@@ -264,9 +278,9 @@ def cmd_rabi(config: ScenarioConfig) -> RunReport:
          "backend": config.swe_backend},
         ["t", "P_e_oracle", "P_e_swe", "n_oracle", "n_swe_via_noise_subtraction",
          "linf_husimi"],
-        [(row["t"], row["P_atomic_levels_oracle"][0], row["P_atomic_levels_swe"][0],
-          row["n_oracle"], row["n_swe_via_noise_subtraction"],
-          row["comparison"]["linf"]) for row in report.rows],
+        np.array([(row["t"], row["P_atomic_levels_oracle"][0], row["P_atomic_levels_swe"][0],
+                   row["n_oracle"], row["n_swe_via_noise_subtraction"],
+                   row["comparison"]["linf"]) for row in report.rows]),
     )
     (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     return report
@@ -336,10 +350,11 @@ def cmd_sample(config: ScenarioConfig, t: float) -> Path:
     d = wave.atom_dim
     path = Path(config.output_dir) / f"samples_t{t:g}.csv"
     state_cols = [f"{part}_psi{i}" for i in range(d) for part in ("re", "im")]
-    rows = zip(samples.a.real, samples.a.imag, *samples.conditional_state.view(float).T)
+    table = np.column_stack((samples.a.real, samples.a.imag,
+                             samples.conditional_state.view(float)))
     _write_csv(path, {"kind": "samples", "time": t, "count": count, "seed": seed,
                       "L": config.L, "M": config.M},
-               ["a_re", "a_im", *state_cols], rows)
+               ["a_re", "a_im", *state_cols], table)
     return path
 
 

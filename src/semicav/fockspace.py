@@ -9,7 +9,6 @@ must keep operator supports a few occupation levels below ``n_max``.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 
 @dataclass(frozen=True)
@@ -85,12 +84,29 @@ def number_operator(basis: FockBasis) -> np.ndarray:
     return a.conj().T @ a
 
 
+def _log_factorials(basis: FockBasis) -> np.ndarray:
+    """log n! for n = 0 .. n_max."""
+    return np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, basis.dim)))))
+
+
 def coherent_amplitudes(alpha: complex, basis: FockBasis) -> np.ndarray:
     """Truncated coherent-state expansion alpha^n / sqrt(n!), renormalized."""
     n = np.arange(basis.dim)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, basis.dim)))))
-    amps = np.power(complex(alpha), n) * np.exp(-0.5 * log_fact)
+    amps = np.power(complex(alpha), n) * np.exp(-0.5 * _log_factorials(basis))
     return amps / np.linalg.norm(amps)
+
+
+def ladder_exponential(c: complex, basis: FockBasis) -> np.ndarray:
+    """exp(c a) on the truncated space; its transpose is exp(c a+).
+
+    The truncated ``a`` is nilpotent, so the series ends: entry (m, n) is
+    c^(n-m) / (n-m)! * sqrt(n! / m!) for n >= m, and zero below the diagonal.
+    """
+    n = np.arange(basis.dim)
+    k = np.maximum(n[None, :] - n[:, None], 0)
+    log_fact = _log_factorials(basis)
+    ratio = np.exp(0.5 * (log_fact[None, :] - log_fact[:, None]) - log_fact[k])
+    return np.triu(np.power(complex(c), k) * ratio)
 
 
 def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -111,7 +127,7 @@ def superop_weyl_apply(lam: complex, rho: np.ndarray, basis: FockBasis) -> np.nd
     """Apply the symmetric-order displacement superoperator to a field operator.
 
     Computes ``exp(-lam* a/2) exp(lam a+/2) rho exp(lam a+/2) exp(-lam* a/2)``
-    with the matrix exponentials taken on the truncated field space.
+    with the exponentials taken on the truncated field space, in closed form.
 
     The caller is responsible for keeping ``|lam|`` small enough (and the
     support of ``rho`` low enough) that truncation spill-over at the top
@@ -120,9 +136,8 @@ def superop_weyl_apply(lam: complex, rho: np.ndarray, basis: FockBasis) -> np.nd
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (basis.dim, basis.dim):
         raise ValueError(f"operator has shape {rho.shape}, expected ({basis.dim}, {basis.dim})")
-    a = annihilation(basis)
-    e_lower = expm(-0.5 * np.conj(lam) * a)
-    e_raise = expm(0.5 * lam * a.conj().T)
+    e_lower = ladder_exponential(-0.5 * np.conj(lam), basis)
+    e_raise = ladder_exponential(0.5 * lam, basis).T
     return e_lower @ e_raise @ rho @ e_raise @ e_lower
 
 

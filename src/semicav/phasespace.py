@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.linalg import expm
 from scipy.special import gammaln
 
 from semicav.fockspace import (
@@ -249,13 +248,15 @@ def characteristic_function(rho_field: np.ndarray, lam: complex) -> Characterist
 
     The displacement exponential is taken on the truncated space, so the
     result is reliable when the state support plus the displacement reach
-    stays below the truncation edge.
+    stays below the truncation edge. The generator is anti-Hermitian: with
+    i gen = V diag(w) V+, the exponential is V diag(e^{-iw}) V+.
     """
     rho_field = np.asarray(rho_field, dtype=complex)
     basis = FockBasis(rho_field.shape[0] - 1)
     a = annihilation(basis)
-    gen = lam * a.conj().T - np.conj(lam) * a
-    return CharacteristicSample(lam, complex(np.trace(expm(gen) @ rho_field)))
+    w, V = np.linalg.eigh(1j * (lam * a.conj().T - np.conj(lam) * a))
+    disp = (V * np.exp(-1j * w)) @ V.conj().T
+    return CharacteristicSample(lam, complex(np.trace(disp @ rho_field)))
 
 
 def superop_characteristic_function(rho: np.ndarray, lam: complex,

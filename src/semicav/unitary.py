@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from semicav.fockspace import CompositeSpace, CompositeState, FockBasis, annihilation, tensor
 
@@ -18,8 +17,9 @@ from semicav.fockspace import CompositeSpace, CompositeState, FockBasis, annihil
 class AtomFieldModel:
     """Atomic Hamiltonian, current operator and mode frequency (hbar = 1).
 
-    The eigenbasis tables of ``rotated_current`` are built at construction,
-    so the fields are not to be changed afterwards.
+    The eigendecomposition of ``h_ato`` and the tables of ``rotated_current``
+    built from it are made at construction, so the fields are not to be
+    changed afterwards.
     """
 
     atom_dim: int
@@ -41,7 +41,8 @@ class AtomFieldModel:
             raise ValueError(f"omega must be >= 0, got {self.omega}")
         # in the eigenbasis of H, j(t) is elementwise e^{i(E_m - E_n + omega) t} (V+ J V)_mn;
         # flattened and mapped back, j(t) = _rot @ exp(i _bohr t)
-        evals, V = np.linalg.eigh(self.h_ato)
+        # V diag(e^{-iEt}) V+ is also the atom factor of U0(t) in integrate_coupling
+        evals, V = self._evals, self._V = np.linalg.eigh(self.h_ato)
         self._bohr = (evals[:, None] - evals[None, :] + self.omega).ravel()
         self._rot = np.einsum("am,mn,bn->abmn", V, V.conj().T @ self.j @ V,
                               V.conj()).reshape(d * d, d * d)
@@ -175,7 +176,8 @@ def integrate_coupling(model: AtomFieldModel, Y0: np.ndarray, tgrid: TimeGrid,
     n = np.arange(nf)
 
     def U0(t):  # exp(-i (H_ato (x) 1 + omega 1 (x) a+a) t), atom index first
-        return np.kron(expm(-1j * t * model.h_ato), np.diag(np.exp(-1j * model.omega * t * n)))
+        atom = (model._V * np.exp(-1j * model._evals * t)) @ model._V.conj().T
+        return np.kron(atom, np.diag(np.exp(-1j * model.omega * t * n)))
 
     M = rk4_step(lambda s, X: -1j * interaction_hamiltonian(model, s, space) @ X,
                  0.0, np.eye(d * nf, dtype=complex), tgrid.dt)

@@ -1,5 +1,9 @@
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +21,9 @@ from semicav.cli import (
     main,
     read_field_csv,
 )
+import semicav
 from semicav import swe, unitary
+from semicav.cli import _write_csv
 from semicav.phasespace import GaussianKernel
 from semicav.unitary import AtomFieldModel
 
@@ -122,6 +128,17 @@ class TestConfig:
         ({"model": {"atom_dim": 1, "h_ato": 0, "j": [[[1, 0]]], "omega": 1.0}},
          "h_ato in model must be a list"),
         ({"swe_backend": 1}, "swe_backend in top level must be a string"),
+        ({"model": {"atom_dim": 1, "h_ato": [[["x", 0]]], "j": [[[1, 0]]], "omega": 1.0}},
+         r"h_ato in model must be a square list of rows of \[re, im\] number pairs"),
+        ({"model": {"atom_dim": 1, "h_ato": [[[0, 0]]], "j": [[[1]]], "omega": 1.0}},
+         "j in model must be a square list"),
+        ({"model": {"atom_dim": 1, "h_ato": [[[0, 0]]], "j": [[[True, 0]]], "omega": 1.0}},
+         "j in model must be a square list"),
+        ({"model": {"atom_dim": 2, "h_ato": [[[0, 0], [0, 0]], [[0, 0]]],
+                    "j": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], "omega": 1.0}},
+         "h_ato in model must be a square list"),
+        ({"model": {"atom_dim": 1, "h_ato": [[0]], "j": [[[1, 0]]], "omega": 1.0}},
+         "h_ato in model must be a square list"),
     ])
     def test_invalid_values_are_refused_at_load(self, tmp_path, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -378,11 +395,16 @@ class TestMain:
         ("fock", 5, "fock in top level must be an object, got 5"),
         ("model", {"preset": "two-level", "g": "x"}, "g in model must be a number, got 'x'"),
         ("fock", {"n_max": 4.7}, "n_max in fock must be an integer, got 4.7"),
+        ("model", {"atom_dim": 1, "h_ato": [[["x", 0]]], "j": [[[1, 0]]], "omega": 1.0},
+         "h_ato in model must be a square list of rows of [re, im] number pairs, "
+         "got [[['x', 0]]]"),
+        (None, [1], "top level must be an object, got [1]"),
     ])
     def test_mistyped_config_value_names_its_key(self, tmp_path, capsys, section, value, message):
+        # section None replaces the whole document
         path = tmp_path / "config.json"
         doc = small_config(tmp_path).to_dict()
-        doc[section] = value
+        doc = value if section is None else {**doc, section: value}
         path.write_text(json.dumps(doc))
         with pytest.raises(SystemExit) as exit_info:
             main(["--config", str(path), "rabi"])
@@ -404,3 +426,39 @@ class TestMain:
         out_dir = tmp_path / "defaults"
         assert main(["--out", str(out_dir), verb]) == 0
         assert any(out_dir.iterdir())
+
+    def test_verify_leaves_scipy_linalg_unloaded(self, tmp_path):
+        # the exponentials are closed forms on numpy, so a verb loads one BLAS
+        # library: numpy's. A fresh interpreter, because the tests import scipy.linalg.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(small_config(tmp_path).to_dict()))
+        script = ("import sys\n"
+                  "from semicav.cli import main\n"
+                  f"status = main(['--config', {str(path)!r}, 'verify'])\n"
+                  "print(status, sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
+        src = str(Path(semicav.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env=env, cwd=tmp_path, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 []"
+
+
+class TestCsvWriter:
+    def test_bytes_match_the_csv_module(self, tmp_path):
+        # the reference is the csv.writer loop the block writer replaced, over
+        # more than one block and the floats whose repr is special
+        rng = np.random.default_rng(2)
+        table = rng.normal(size=(4096 + 7, 3)) * 10.0 ** rng.integers(-300, 300, (4103, 3))
+        table[:5, 0] = [-0.0, np.nan, np.inf, -np.inf, 5e-324]
+        columns = ["a", "b_re", "b_im"]
+        path = tmp_path / "table.csv"
+        _write_csv(path, {"kind": "test", "L": 5.0}, columns, table)
+        expected = io.StringIO(newline="")
+        expected.write("# kind=test L=5.0\n")
+        writer = csv.writer(expected)
+        writer.writerow(columns)
+        for row in table:
+            writer.writerow([repr(float(v)) for v in row])
+        assert path.read_bytes() == expected.getvalue().encode()

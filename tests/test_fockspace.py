@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from semicav.fockspace import (
     CompositeSpace,
@@ -11,6 +12,7 @@ from semicav.fockspace import (
     FockBasis,
     annihilation,
     coherent_amplitudes,
+    ladder_exponential,
     number_operator,
     partial_trace_atom,
     partial_trace_field,
@@ -117,6 +119,21 @@ class TestSymmetricProduct:
                 ad, symmetric_product(a, op)
             )
             assert np.max(np.abs(comm)) <= 1e-10
+
+
+class TestLadderExponential:
+    @pytest.mark.parametrize("n_max", [8, 24])
+    def test_matches_expm(self, n_max):
+        # scipy's expm is the reference the closed form replaced
+        basis = FockBasis(n_max)
+        a = annihilation(basis)
+        rng = np.random.default_rng(n_max)
+        cs = [0.0, 2.0, -2.0j, 1.2 * np.exp(0.4j)]
+        cs += list(rng.uniform(0, 2, 6) * np.exp(2j * np.pi * rng.random(6)))
+        for c in cs:
+            lower = ladder_exponential(c, basis)
+            for got, ref in ((lower, expm(c * a)), (lower.T, expm(c * a.conj().T))):
+                assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 class TestWeylApply:

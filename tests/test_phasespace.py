@@ -102,6 +102,19 @@ class TestCharacteristicFunction:
             expected = (1.0 - abs(lam) ** 2) * np.exp(-0.5 * abs(lam) ** 2)
             assert characteristic_function(rho, lam).value == pytest.approx(expected, abs=1e-9)
 
+    def test_matches_expm_on_random_states(self):
+        # scipy's expm is the reference the eigendecomposition replaced
+        basis = FockBasis(14)
+        a = annihilation(basis)
+        rng = np.random.default_rng(4)
+        for _ in range(6):
+            B = rng.normal(size=(basis.dim,) * 2) + 1j * rng.normal(size=(basis.dim,) * 2)
+            rho = B @ B.conj().T
+            rho /= np.trace(rho)
+            lam = rng.uniform(0, 2) * np.exp(2j * np.pi * rng.random())
+            expected = np.trace(expm(lam * a.conj().T - np.conj(lam) * a) @ rho)
+            assert abs(characteristic_function(rho, lam).value - expected) <= 1e-12
+
     def test_superop_route_matches_direct(self):
         basis = FockBasis(24)
         rng = np.random.default_rng(1)
