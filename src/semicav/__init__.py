@@ -51,14 +51,12 @@ from semicav.phasespace import (
 )
 from semicav.swe import (
     SemiclassicalWave,
-    FieldSample,
     GridOptions,
     ComparisonReport,
     initial_wave,
     evolve_swe,
     evaluate_on_grid,
     field_density,
-    conditional_state,
     swe_expectation,
     sample_field,
     compare_to_oracle,

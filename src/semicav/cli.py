@@ -258,7 +258,7 @@ def cmd_rabi(config: ScenarioConfig) -> RunReport:
         amp = state.as_matrix()
         populations = [float(np.sum(np.abs(amp[i]) ** 2)) for i in range(d)]
         n_oracle = float(np.real(state.amplitudes.conj() @ (number_op @ state.amplitudes)))
-        gwave = swe.evaluate_on_grid(wave, grid) if wave.representation == "bargmann" else wave
+        gwave = swe.evaluate_on_grid(wave, grid)
         comparison = swe.compare_to_oracle(gwave, state, grid)
         p_swe = [swe.swe_expectation(gwave, proj) for proj in projectors]
         n_swe = swe.swe_expectation(gwave, abs_sq) - 1.0
@@ -325,7 +325,8 @@ def cmd_phasespace(config: ScenarioConfig, t: float, kind: str) -> Path:
     tgrid = _time_grid_to(config, t)
     meta = {"kind": kind, "L": config.L, "M": config.M, "time": t, "n_max": config.n_max}
     if kind == "swe-density":
-        column, values = "density", swe.field_density(_run_swe(config, tgrid)[-1], grid).values
+        wave = swe.evaluate_on_grid(_run_swe(config, tgrid)[-1], grid)
+        column, values = "density", swe.field_density(wave).values
     else:
         state = unitary.evolve_unitary(config.model, _initial_composite(config), tgrid).states[-1]
         rho_field = fockspace.partial_trace_atom(unitary.density_operator(state), space)
@@ -342,10 +343,8 @@ def cmd_sample(config: ScenarioConfig, t: float) -> Path:
     """Draw classical field samples at time ``t`` and write them as CSV."""
     count = config.sample_count or 10000
     seed = config.sample_seed or 0
-    grid = config.phase_grid()
-    wave = _run_swe(config, _time_grid_to(config, t))[-1]
-    if wave.representation == "bargmann":
-        wave = swe.evaluate_on_grid(wave, grid)
+    wave = swe.evaluate_on_grid(_run_swe(config, _time_grid_to(config, t))[-1],
+                                config.phase_grid())
     samples = swe.sample_field(wave, count, seed)
     d = wave.atom_dim
     path = Path(config.output_dir) / f"samples_t{t:g}.csv"
@@ -452,8 +451,7 @@ def _verify_identities(config: ScenarioConfig) -> list[dict]:
     n_steps = max(1, int(round(quarter / config.dt)))
     tgrid = unitary.TimeGrid(0.0, n_steps * config.dt, config.dt, n_steps)
     state = unitary.evolve_unitary(config.model, _initial_composite(config), tgrid).states[-1]
-    wave = _run_swe(config, tgrid)[-1]
-    gwave = swe.evaluate_on_grid(wave, grid) if wave.representation == "bargmann" else wave
+    gwave = swe.evaluate_on_grid(_run_swe(config, tgrid)[-1], grid)
     comparison = swe.compare_to_oracle(gwave, state, grid)
     swe_threshold = 1e-7 if config.swe_backend == "bargmann" else 1e-3 * comparison.oracle_max
     record("swe_density_equivalence", comparison.linf, swe_threshold)
@@ -520,6 +518,11 @@ def main(argv=None) -> int:
         _time_grid_to(config, getattr(args, "time", 0.0))  # rabi and verify take no --time
     except (OverflowError, ValueError):
         parser.error(f"--time {args.time:g} is not a non-negative multiple of dt {config.dt:g}")
+    if args.verb == "rabi":
+        try:
+            config.time_grid()
+        except ValueError:
+            parser.error(f"t_end {config.t_end:g} in time is not a multiple of dt {config.dt:g}")
 
     if args.verb == "rabi":
         report = cmd_rabi(config)

@@ -9,6 +9,7 @@ must keep operator supports a few occupation levels below ``n_max``.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gammaln
 
 
 @dataclass(frozen=True)
@@ -84,15 +85,15 @@ def number_operator(basis: FockBasis) -> np.ndarray:
     return a.conj().T @ a
 
 
-def _log_factorials(basis: FockBasis) -> np.ndarray:
-    """log n! for n = 0 .. n_max."""
-    return np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, basis.dim)))))
+def _log_factorials(n_max: int) -> np.ndarray:
+    """log n! for n = 0 .. n_max (an int: phase-space callers may hold n_max < 2)."""
+    return gammaln(np.arange(n_max + 1) + 1)
 
 
 def coherent_amplitudes(alpha: complex, basis: FockBasis) -> np.ndarray:
     """Truncated coherent-state expansion alpha^n / sqrt(n!), renormalized."""
     n = np.arange(basis.dim)
-    amps = np.power(complex(alpha), n) * np.exp(-0.5 * _log_factorials(basis))
+    amps = np.power(complex(alpha), n) * np.exp(-0.5 * _log_factorials(basis.n_max))
     return amps / np.linalg.norm(amps)
 
 
@@ -104,7 +105,7 @@ def ladder_exponential(c: complex, basis: FockBasis) -> np.ndarray:
     """
     n = np.arange(basis.dim)
     k = np.maximum(n[None, :] - n[:, None], 0)
-    log_fact = _log_factorials(basis)
+    log_fact = _log_factorials(basis.n_max)
     ratio = np.exp(0.5 * (log_fact[None, :] - log_fact[:, None]) - log_fact[k])
     return np.triu(np.power(complex(c), k) * ratio)
 

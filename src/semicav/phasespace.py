@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.special import gammaln
 
 from semicav.fockspace import (
     CompositeSpace,
     FockBasis,
+    _log_factorials,
     annihilation,
     symmetric_product,
     superop_weyl_apply,
@@ -290,9 +290,10 @@ def _chi_on_grid(blocks: np.ndarray, lam: np.ndarray) -> np.ndarray:
     n_max = blocks.shape[0] - 1
     nb = int(np.prod(blocks.shape[2:], dtype=int))
     n = np.arange(n_max + 1)
-    lo, hi = np.minimum.outer(n, n), np.maximum.outer(n, n)
+    log_fact = _log_factorials(n_max)
+    lo, hi = log_fact[np.minimum.outer(n, n)], log_fact[np.maximum.outer(n, n)]
     scaled = np.asarray(blocks, dtype=complex).reshape(n_max + 1, n_max + 1, nb) \
-        * np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1)))[:, :, None]
+        * np.exp(0.5 * (lo - hi))[:, :, None]
     # rows n, columns Re/Im of the (n, n+k) elements, then of the (n+k, n) ones for k > 0
     diagonals = [np.diagonal(scaled, 0).T.copy().view(float)]
     diagonals += [np.concatenate((np.diagonal(scaled, k).T, np.diagonal(scaled, -k).T),
@@ -441,7 +442,7 @@ def _coherent_overlap_matrix(a: np.ndarray, n_max: int) -> np.ndarray:
     """C[..., n] = <n|a> = exp(-|a|^2/2) a^n / sqrt(n!) at every point of ``a``."""
     a = np.asarray(a)[..., None]
     n = np.arange(n_max + 1)
-    return np.exp(-0.5 * np.abs(a) ** 2) * np.power(a, n) * np.exp(-0.5 * gammaln(n + 1))
+    return np.exp(-0.5 * np.abs(a) ** 2) * np.power(a, n) * np.exp(-0.5 * _log_factorials(n_max))
 
 
 def husimi_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> OperatorPhaseField:

@@ -49,14 +49,12 @@ _K_CUT = 12.0  # radial low-pass of the spectral derivative, see the module docs
 
 __all__ = [
     "SemiclassicalWave",
-    "FieldSample",
     "GridOptions",
     "ComparisonReport",
     "initial_wave",
     "evolve_swe",
     "evaluate_on_grid",
     "field_density",
-    "conditional_state",
     "swe_expectation",
     "sample_field",
     "compare_to_oracle",
@@ -117,19 +115,6 @@ class SemiclassicalWave:
 
 
 @dataclass(frozen=True)
-class FieldSample:
-    """One drawn classical field value with the conditional atomic state."""
-
-    a: complex
-    conditional_state: np.ndarray
-
-    def __post_init__(self):
-        nrm = np.linalg.norm(self.conditional_state)
-        if not abs(nrm - 1.0) <= 1e-12:
-            raise ValueError(f"conditional state norm {nrm} deviates from 1")
-
-
-@dataclass(frozen=True)
 class GridOptions:
     """Guards of the grid backend.
 
@@ -182,11 +167,9 @@ class GridStepper:
     allocates is the one it returns: ``rk4_step`` holds all four at once.
     """
 
-    def __init__(self, model: AtomFieldModel, grid: PhaseGrid,
-                 options: GridOptions | None = None):
+    def __init__(self, model: AtomFieldModel, grid: PhaseGrid):
         self.model = model
         self.grid = grid
-        self.options = options or GridOptions()
         self.damping = 5.0 * float(np.linalg.norm(model.j, 2))
         shape = (grid.M, grid.M, model.atom_dim)
 
@@ -249,25 +232,23 @@ def _coefficient_guard(wave: SemiclassicalWave):
     return guard
 
 
-def _grid_guard(stepper: GridStepper, wave: SemiclassicalWave, tol: float | None):
+def _grid_guard(wave: SemiclassicalWave, tol: float, check_boundary: bool):
     """Per-step checks of the grid backend: boundary-mass growth, then unit probability."""
-    grid = stepper.grid
-    check = stepper.options.check_boundary
-    tol = wave.norm_tol if tol is None else tol
+    grid = wave.grid
     initial = previous = _boundary_mass(np.abs(wave.values) ** 2, grid)
 
     def guard(step, t, psi):
         nonlocal previous
         density = np.abs(psi) ** 2
         mass = _boundary_mass(density, grid)
-        if check and not mass - previous <= 1e-8:
+        if check_boundary and not mass - previous <= 1e-8:
             raise RuntimeError(f"boundary mass grew by {mass - previous} in one step "
                                f"(step {step}, t={t}); grid too small")
         total = float(np.sum(density) * grid.weight)
         if not abs(total - 1.0) <= tol:
             raise ValueError(f"total probability {total} deviates from 1 beyond {tol} "
                              f"at step {step}, t={t}")
-        if check and not mass - initial <= 1e-8:
+        if check_boundary and not mass - initial <= 1e-8:
             raise RuntimeError(f"boundary mass grew from {initial} to {mass} by step {step}, "
                                f"t={t}; grid too small")
         previous = mass
@@ -288,10 +269,11 @@ def evolve_swe(model: AtomFieldModel, wave: SemiclassicalWave, tgrid: TimeGrid,
     if abs(wave.time - tgrid.t_start) > 1e-12:
         raise ValueError(f"wave time {wave.time} does not match grid start {tgrid.t_start}")
     if wave.representation == "grid":
-        stepper = GridStepper(model, wave.grid, options)
-        tol = stepper.options.norm_tol if stepper.options.norm_tol is not None else wave.norm_tol
+        options = options or GridOptions()
+        tol = wave.norm_tol if options.norm_tol is None else options.norm_tol
+        stepper = GridStepper(model, wave.grid)
         times, ys = integrate(lambda t, psi: rk4_step(stepper.rhs, t, psi, tgrid.dt), wave.values,
-                              tgrid, _grid_guard(stepper, wave, tol))
+                              tgrid, _grid_guard(wave, tol, options.check_boundary))
         return [wave] + [SemiclassicalWave("grid", time=t, grid=wave.grid, values=psi,
                                            norm_tol=tol)
                          for t, psi in zip(times[1:], ys[1:])]
@@ -301,61 +283,35 @@ def evolve_swe(model: AtomFieldModel, wave: SemiclassicalWave, tgrid: TimeGrid,
                      for t, Y in zip(times[1:], ys[1:])]
 
 
-def _basis_matrix(a: np.ndarray, n_max: int) -> np.ndarray:
-    """B[..., n] = e^{-|a|^2/2} (a*)^n / sqrt(pi n!) at every point: orthonormal under dx dy."""
-    return np.conj(_coherent_overlap_matrix(a, n_max)) / np.sqrt(np.pi)
-
-
 def evaluate_on_grid(wave: SemiclassicalWave, grid: PhaseGrid) -> SemiclassicalWave:
-    """Sum the coefficient expansion at every node."""
-    if wave.representation != "bargmann":
-        raise ValueError("evaluate_on_grid expects a bargmann wave")
-    B = _basis_matrix(grid.nodes(), wave.basis.n_max)
+    """The one way onto the grid: a grid wave on ``grid`` as it is (another grid is refused),
+    a coefficient wave summed at every node over B[..., n] = e^{-|a|^2/2} (a*)^n / sqrt(pi n!),
+    orthonormal under dx dy."""
+    if wave.representation == "grid":
+        if wave.grid != grid:
+            raise ValueError(f"wave grid {wave.grid} does not match the grid {grid}")
+        return wave
+    B = np.conj(_coherent_overlap_matrix(grid.nodes(), wave.basis.n_max)) / np.sqrt(np.pi)
     values = np.einsum("xyn,nd->xyd", B, wave.coeffs)
     return SemiclassicalWave("grid", time=wave.time, grid=grid, values=values,
                              norm_tol=max(grid.tol, wave.norm_tol))
 
 
-def field_density(wave: SemiclassicalWave, grid: PhaseGrid | None = None) -> PhaseFunction:
+def _require_grid(wave: SemiclassicalWave, what: str) -> None:
+    if wave.representation != "grid":
+        raise ValueError(f"{what} needs a grid wave; map a coefficient wave with evaluate_on_grid")
+
+
+def field_density(wave: SemiclassicalWave) -> PhaseFunction:
     """Probability density of the classical field: the atomic norm squared."""
-    if wave.representation == "bargmann":
-        if grid is None:
-            raise ValueError("a bargmann wave needs a grid to produce a density")
-        wave = evaluate_on_grid(wave, grid)
+    _require_grid(wave, "field_density")
     density = np.sum(np.abs(wave.values) ** 2, axis=2)
     return PhaseFunction(wave.grid, density, kind="husimi")
 
 
-def _evaluate_at_point(wave: SemiclassicalWave, a: complex) -> np.ndarray:
-    if wave.representation == "bargmann":
-        return _basis_matrix(a, wave.basis.n_max) @ wave.coeffs
-    grid = wave.grid
-    ix, iy = (int(np.round((part + grid.L) / grid.h)) for part in (a.real, a.imag))
-    if not (0 <= ix < grid.M and 0 <= iy < grid.M):
-        raise ValueError(f"a={a} lies outside the grid [-{grid.L}, {grid.L})^2")
-    return wave.values[ix, iy]
-
-
-def conditional_state(wave: SemiclassicalWave, a: complex) -> FieldSample:
-    """Atomic state conditioned on the field value ``a``: psi(a)/||psi(a)||.
-
-    Grid waves are read at the nearest node; a value whose nearest node
-    lies off the grid is refused, as is one of vanishing probability.
-    """
-    vec = _evaluate_at_point(wave, complex(a))
-    nrm = np.linalg.norm(vec)
-    if nrm <= 1e-12:
-        raise ValueError(f"wave vanishes at a={a}; conditional state undefined")
-    return FieldSample(a=complex(a), conditional_state=vec / nrm)
-
-
-def swe_expectation(wave: SemiclassicalWave, F: SemiclassicalObservable,
-                    grid: PhaseGrid | None = None) -> float:
+def swe_expectation(wave: SemiclassicalWave, F: SemiclassicalObservable) -> float:
     """Quadrature of psi+ F(a, a*) psi over the grid."""
-    if wave.representation == "bargmann":
-        if grid is None:
-            raise ValueError("a bargmann wave needs a grid for quadrature")
-        wave = evaluate_on_grid(wave, grid)
+    _require_grid(wave, "swe_expectation")
     sym = F.values_on(wave.grid)
     if F.atom_op is None:
         dens = np.sum(np.abs(wave.values) ** 2, axis=2)
@@ -373,8 +329,7 @@ def sample_field(wave: SemiclassicalWave, count: int, seed: int) -> np.recarray:
     records with fields ``a`` (complex) and ``conditional_state`` (complex,
     shape (d,)), each state checked to unit norm within 1e-12.
     """
-    if wave.representation != "grid":
-        raise ValueError("sampling requires the grid representation")
+    _require_grid(wave, "sample_field")
     rng = np.random.default_rng(seed)
     p = np.sum(np.abs(wave.values) ** 2, axis=2)
     p = np.maximum(p, 0.0)
@@ -443,10 +398,7 @@ def compare_to_oracle(wave: SemiclassicalWave, state: CompositeState,
     """
     from semicav.unitary import density_operator
 
-    if wave.representation == "bargmann":
-        wave = evaluate_on_grid(wave, grid)
-    if wave.grid.M != grid.M or wave.grid.L != grid.L:
-        raise ValueError("wave grid does not match the comparison grid")
+    wave = evaluate_on_grid(wave, grid)
     swe_field = np.einsum("xyi,xyj->xyij", wave.values, wave.values.conj())
     oracle_field = husimi_density(density_operator(state), state.space, grid)
     diff = swe_field - oracle_field.values

@@ -391,6 +391,26 @@ class TestMain:
         assert last.startswith("semicav: error: ") and message in last
         assert not (tmp_path / "out").exists()
 
+    def test_rabi_refuses_t_end_off_the_dt_lattice(self, tmp_path, monkeypatch, capsys):
+        # loading such a config is fine: sample, phasespace and verify never read t_end
+        path = tmp_path / "config.json"
+        doc = small_config(tmp_path).to_dict()
+        doc["time"]["t_end"] = 0.5005
+        path.write_text(json.dumps(doc))
+        assert ScenarioConfig.from_file(path).t_end == 0.5005
+
+        def evolve(*_):
+            raise AssertionError("evolved before t_end was validated")
+
+        monkeypatch.setattr(unitary, "evolve_unitary", evolve)
+        monkeypatch.setattr(swe, "evolve_swe", evolve)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--config", str(path), "--out", str(tmp_path / "out"), "rabi"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            "semicav: error: t_end 0.5005 in time is not a multiple of dt 0.001"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("section, value, message", [
         ("fock", 5, "fock in top level must be an object, got 5"),
         ("model", {"preset": "two-level", "g": "x"}, "g in model must be a number, got 'x'"),

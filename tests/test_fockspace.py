@@ -1,5 +1,6 @@
 from math import factorial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from semicav.fockspace import (
     CompositeSpace,
     CompositeState,
     FockBasis,
+    _log_factorials,
     annihilation,
     coherent_amplitudes,
     ladder_exponential,
@@ -119,6 +121,19 @@ class TestSymmetricProduct:
                 ad, symmetric_product(a, op)
             )
             assert np.max(np.abs(comm)) <= 1e-10
+
+
+class TestLogFactorials:
+    def test_matches_mpmath(self):
+        with mpmath.workdps(50):
+            exact = [mpmath.log(mpmath.factorial(n)) for n in range(61)]
+            got = _log_factorials(60)
+            for n, ref in enumerate(exact):
+                assert abs(got[n] - ref) <= 1e-15 * max(1.0, float(ref)), n
+
+    @pytest.mark.parametrize("n_max", [0, 1])
+    def test_takes_n_max_below_the_fock_floor(self, n_max):
+        np.testing.assert_array_equal(_log_factorials(n_max), np.zeros(n_max + 1))
 
 
 class TestLadderExponential:

@@ -14,7 +14,6 @@ from semicav.swe import (
     GridStepper,
     SemiclassicalWave,
     compare_to_oracle,
-    conditional_state,
     evaluate_on_grid,
     evolve_swe,
     field_density,
@@ -123,18 +122,15 @@ class TestInitialWave:
                               **{amplitudes: nan}, norm_tol=1.0)
 
     def test_guards_refuse_nan(self, grid64):
-        model = two_level_model(g=1.0)
         barg = initial_wave(EXCITED, FockBasis(6))
         with pytest.raises(RuntimeError, match=r"probability nan .* at step 3, t=0\.5;"):
             swe._coefficient_guard(barg)(3, 0.5, np.full((2, 7), np.nan, dtype=complex))
         wave = initial_wave(EXCITED, grid64)
         nan = np.full_like(wave.values, np.nan)
-        stepper = GridStepper(model, grid64)
         with pytest.raises(RuntimeError, match=r"boundary mass grew by nan .*step 3, t=0\.5\)"):
-            swe._grid_guard(stepper, wave, None)(3, 0.5, nan)
-        unchecked = GridStepper(model, grid64, GridOptions(check_boundary=False))
+            swe._grid_guard(wave, wave.norm_tol, True)(3, 0.5, nan)
         with pytest.raises(ValueError, match=r"total probability nan .* at step 3, t=0\.5"):
-            swe._grid_guard(unchecked, wave, None)(3, 0.5, nan)
+            swe._grid_guard(wave, wave.norm_tol, False)(3, 0.5, nan)
 
 
 class TestZeroSteps:
@@ -372,6 +368,24 @@ class TestRepresentationMaps:
         on_grid = evaluate_on_grid(barg, grid64)
         assert on_grid.total_probability() == pytest.approx(1.0, abs=grid64.tol)
 
+    def test_grid_wave_passes_through(self, grid64):
+        wave = initial_wave(EXCITED, grid64)
+        assert evaluate_on_grid(wave, grid64) is wave
+        assert evaluate_on_grid(wave, PhaseGrid(5.0, 64)) is wave  # equal, not the same object
+        for other in (PhaseGrid(5.0, 32), PhaseGrid(6.0, 64)):
+            with pytest.raises(ValueError, match="does not match the grid"):
+                evaluate_on_grid(wave, other)
+
+    def test_grid_consumers_refuse_coefficient_waves(self):
+        barg = initial_wave(EXCITED, FockBasis(8))
+        with pytest.raises(ValueError, match="field_density needs a grid wave; .*evaluate_on_grid"):
+            field_density(barg)
+        with pytest.raises(ValueError,
+                           match="swe_expectation needs a grid wave; .*evaluate_on_grid"):
+            swe_expectation(barg, SemiclassicalObservable.constant(1.0))
+        with pytest.raises(ValueError, match="sample_field needs a grid wave; .*evaluate_on_grid"):
+            sample_field(barg, 10, seed=0)
+
 
 class TestFieldDensity:
     def test_rabi_density_closed_form(self, grid64):
@@ -379,7 +393,7 @@ class TestFieldDensity:
         t_end = 0.75
         tgrid = TimeGrid(0.0, t_end, 1e-3, 750)
         wave = evolve_swe(model, initial_wave(EXCITED, FockBasis(8)), tgrid)[-1]
-        dens = field_density(wave, grid64)
+        dens = field_density(evaluate_on_grid(wave, grid64))
         a = grid64.nodes()
         expected = (np.exp(-np.abs(a) ** 2) / np.pi) * (
             np.cos(t_end) ** 2 + np.abs(a) ** 2 * np.sin(t_end) ** 2)
@@ -389,38 +403,34 @@ class TestFieldDensity:
 
 
 class TestConditionalState:
-    def test_initial_wave_factorizes(self, grid64):
-        wave = initial_wave(EXCITED, grid64)
-        for a in (0.0, 1.0 + 0.5j, -2.0j):
-            sample = conditional_state(wave, a)
-            np.testing.assert_allclose(sample.conditional_state, EXCITED, atol=1e-12)
+    """Conditional atomic states psi(a)/||psi(a)|| read at the nodes of the grid wave."""
 
-    def test_rabi_quarter_period_at_origin(self):
+    @staticmethod
+    def _states(wave, grid):
+        values = evaluate_on_grid(wave, grid).values
+        return values / np.linalg.norm(values, axis=2, keepdims=True), values
+
+    def test_initial_wave_factorizes(self, grid64):
+        states, _ = self._states(initial_wave(EXCITED, grid64), grid64)
+        np.testing.assert_allclose(states, np.broadcast_to(EXCITED, states.shape), atol=1e-12)
+
+    def test_rabi_quarter_period_at_origin(self, grid64):
         model = two_level_model(g=1.0)
         tgrid = TimeGrid(0.0, np.pi / 4.0, np.pi / 4000.0, 1000)
         wave = evolve_swe(model, initial_wave(EXCITED, FockBasis(8)), tgrid)[-1]
-        state = conditional_state(wave, 0.0).conditional_state
-        assert abs(abs(state[0]) - 1.0) <= 1e-9
+        states, _ = self._states(wave, grid64)
+        assert grid64.nodes()[32, 32] == 0.0
+        assert abs(abs(states[32, 32, 0]) - 1.0) <= 1e-9
 
-    def test_rabi_half_period_at_one(self):
+    def test_rabi_half_period(self, grid64):
         model = two_level_model(g=1.0)
         tgrid = TimeGrid(0.0, np.pi / 2.0, np.pi / 4000.0, 2000)
         wave = evolve_swe(model, initial_wave(EXCITED, FockBasis(8)), tgrid)[-1]
-        state = conditional_state(wave, 1.0).conditional_state
-        assert abs(abs(state[1]) - 1.0) <= 1e-9
-        # the excited amplitude vanishes at the origin, so conditioning fails
-        with pytest.raises(ValueError):
-            conditional_state(wave, 0.0)
-
-    def test_refuses_points_off_the_grid(self, grid64):
-        wave = initial_wave(EXCITED, grid64)
-        # the nodes nearest these points lie on the grid's first and last rows
-        for a in (-5.0 + 4.9j, 4.9 - 5.0j):
-            np.testing.assert_allclose(conditional_state(wave, a).conditional_state, EXCITED,
-                                       atol=1e-12)
-        for a in (100.0, -5.1, 4.95j, 1.0 - 100j):
-            with pytest.raises(ValueError, match="outside the grid"):
-                conditional_state(wave, a)
+        states, values = self._states(wave, grid64)
+        assert grid64.nodes()[40, 32] == 1.25
+        assert abs(abs(states[40, 32, 1]) - 1.0) <= 1e-9
+        # the excited amplitude vanishes at the origin, so no state is conditioned there
+        assert np.linalg.norm(values[32, 32]) <= 1e-12
 
 
 class TestExpectations:
@@ -472,8 +482,12 @@ class TestSampling:
         assert samples.conditional_state.shape == (50, 2)
         np.testing.assert_allclose(samples.conditional_state, np.tile(EXCITED, (50, 1)),
                                    atol=1e-12)
-        for a, state in zip(samples.a, samples.conditional_state):
-            np.testing.assert_array_equal(state, conditional_state(wave, a).conditional_state)
+        # each record is its node's vector, normalized the way sample_field does it
+        ix, iy = (np.round((part + grid64.L) / grid64.h).astype(int)
+                  for part in (samples.a.real, samples.a.imag))
+        for state, vec in zip(samples.conditional_state, wave.values[ix, iy]):
+            np.testing.assert_array_equal(
+                state, vec / np.sqrt(np.vecdot(vec.real, vec.real) + np.vecdot(vec.imag, vec.imag)))
 
 
 class TestJaynesCummingsReference:
@@ -521,6 +535,13 @@ class TestJaynesCummingsReference:
 
 
 class TestOracleComparison:
+    def test_refuses_wave_on_another_grid(self, grid64):
+        space = CompositeSpace(2, FockBasis(8))
+        state = product_initial_state(EXCITED, np.eye(9, dtype=complex)[0], space)
+        wave = initial_wave(EXCITED, PhaseGrid(5.0, 32))
+        with pytest.raises(ValueError, match="does not match the grid"):
+            compare_to_oracle(wave, state, grid64)
+
     def test_identical_at_time_zero(self, grid64):
         space = CompositeSpace(2, FockBasis(8))
         vac = np.zeros(9, dtype=complex)
