@@ -518,13 +518,12 @@ def main(argv=None) -> int:
         _time_grid_to(config, getattr(args, "time", 0.0))  # rabi and verify take no --time
     except (OverflowError, ValueError):
         parser.error(f"--time {args.time:g} is not a non-negative multiple of dt {config.dt:g}")
+
     if args.verb == "rabi":
         try:
             config.time_grid()
-        except ValueError:
+        except (OverflowError, ValueError):
             parser.error(f"t_end {config.t_end:g} in time is not a multiple of dt {config.dt:g}")
-
-    if args.verb == "rabi":
         report = cmd_rabi(config)
         print(f"wrote {Path(config.output_dir) / 'rabi_timeseries.csv'} "
               f"({len(report.rows)} samples)")

@@ -391,13 +391,18 @@ class TestMain:
         assert last.startswith("semicav: error: ") and message in last
         assert not (tmp_path / "out").exists()
 
-    def test_rabi_refuses_t_end_off_the_dt_lattice(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("t_end, dt, message", [
+        (0.5005, 1e-3, "t_end 0.5005 in time is not a multiple of dt 0.001"),
+        (1e300, 1e-10, "t_end 1e+300 in time is not a multiple of dt 1e-10"),  # steps overflow
+    ])
+    def test_rabi_refuses_t_end_off_the_dt_lattice(self, tmp_path, monkeypatch, capsys,
+                                                   t_end, dt, message):
         # loading such a config is fine: sample, phasespace and verify never read t_end
         path = tmp_path / "config.json"
         doc = small_config(tmp_path).to_dict()
-        doc["time"]["t_end"] = 0.5005
+        doc["time"].update(t_end=t_end, dt=dt)
         path.write_text(json.dumps(doc))
-        assert ScenarioConfig.from_file(path).t_end == 0.5005
+        assert ScenarioConfig.from_file(path).t_end == t_end
 
         def evolve(*_):
             raise AssertionError("evolved before t_end was validated")
@@ -407,8 +412,7 @@ class TestMain:
         with pytest.raises(SystemExit) as exit_info:
             main(["--config", str(path), "--out", str(tmp_path / "out"), "rabi"])
         assert exit_info.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == \
-            "semicav: error: t_end 0.5005 in time is not a multiple of dt 0.001"
+        assert capsys.readouterr().err.splitlines()[-1] == f"semicav: error: {message}"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, value, message", [
