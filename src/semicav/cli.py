@@ -401,7 +401,6 @@ def _verify_identities(config: ScenarioConfig) -> list[dict]:
 
     # shared random composite state, supported below the truncation edge
     d, nf = space.atom_dim, space.fock.dim
-    v = np.zeros(space.total_dim, complex)
     low = (rng.normal(size=(d, nf - 2)) + 1j * rng.normal(size=(d, nf - 2)))
     v = np.concatenate([np.pad(low[i], (0, 2)) for i in range(d)])
     v /= np.linalg.norm(v)
@@ -449,7 +448,7 @@ def _verify_identities(config: ScenarioConfig) -> list[dict]:
     # swe against the oracle on a quarter Rabi period
     quarter = np.pi / 4.0
     n_steps = max(1, int(round(quarter / config.dt)))
-    tgrid = unitary.TimeGrid(0.0, n_steps * config.dt, config.dt, n_steps)
+    tgrid = _time_grid_to(config, n_steps * config.dt)
     state = unitary.evolve_unitary(config.model, _initial_composite(config), tgrid).states[-1]
     gwave = swe.evaluate_on_grid(_run_swe(config, tgrid)[-1], grid)
     comparison = swe.compare_to_oracle(gwave, state, grid)

@@ -6,14 +6,11 @@ Conventions, fixed once and used everywhere:
   ``da* da`` in the quantum-optics literature is implemented as ``dx dy``.
   With that reading the vacuum Wigner function is (2/pi) exp(-2|a|^2) and
   the Q-function (1/pi) <a|rho|a> integrates to one.
-* Characteristic functions live on a lambda-grid conjugate to the spatial
-  grid: spacing pi/(M h), extent pi/h. The Fourier inversion
-  (1/pi^2) int e^{-lam a* + lam* a} chi(lam) d^2 lam then maps exactly onto
-  centered FFTs, with no residual phase factors.
-* Dirac deltas of superoperator arguments are never discretized; every
-  phase-space density is computed through the characteristic-function
-  route, with displacement matrix elements evaluated in closed form on the
-  truncated Fock space.
+* The Wigner transform is the displaced parity, W_B(a) = (2/pi) tr[D(2a) P B]
+  with P = (-1)^{a+ a} (Royer, Phys. Rev. A 15, 449 (1977)), evaluated at
+  each node from the closed-form displacement matrix elements on the
+  truncated Fock space, so it is exact at the nodes.
+* Dirac deltas of superoperator arguments are never discretized.
 """
 
 from dataclasses import dataclass
@@ -47,7 +44,8 @@ _GEMM_MACS = 1 << 19
 class PhaseGrid:
     """Uniform grid over Re a, Im a in [-L, L), M points per axis.
 
-    M must be a power of two so the Fourier-side grids pair up exactly.
+    M must be even, so that the centred kernel and nodes()[M/2, M/2] = 0 line
+    up, and a power of two, which the FFTs of the convolution favour.
     Nodes sit at x_k = -L + k h with h = 2L/M; the quadrature weight is
     h^2 per node.
     """
@@ -56,8 +54,8 @@ class PhaseGrid:
     M: int
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("L must be positive")
+        if not 0 < self.L < np.inf:
+            raise ValueError(f"L must be positive and finite, got {self.L}")
         if self.M < 32 or (self.M & (self.M - 1)) != 0:
             raise ValueError("M must be a power of two, at least 32")
 
@@ -81,15 +79,6 @@ class PhaseGrid:
         """Complex node array, indexed [ix, iy]."""
         x = self.axis()
         return x[:, None] + 1j * x[None, :]
-
-    def lambda_axis(self) -> np.ndarray:
-        """Centered conjugate axis: spacing pi/(M h), extent pi/h."""
-        delta = np.pi / (self.M * self.h)
-        return (np.arange(self.M) - self.M // 2) * delta
-
-    def lambda_nodes(self) -> np.ndarray:
-        u = self.lambda_axis()
-        return u[:, None] + 1j * u[None, :]
 
     def boundary_mask(self) -> np.ndarray:
         mask = np.zeros((self.M, self.M), dtype=bool)
@@ -325,19 +314,6 @@ def _chi_on_grid(blocks: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return chi.reshape(lam.shape + blocks.shape[2:])
 
 
-def _invert_characteristic(chi: np.ndarray, grid: PhaseGrid) -> np.ndarray:
-    """(1/pi^2) int e^{-lam a* + lam* a} chi(lam) d^2 lam on the paired grids.
-
-    With a = x + iy and lam = u + iv the kernel is e^{2i(uy - vx)}; on the
-    centered grids this is exactly one forward and one inverse DFT over
-    axes 0 and 1, applied to every trailing batch index.
-    """
-    delta = np.pi / (grid.M * grid.h)
-    t = sfft.fftshift(sfft.fft(sfft.ifftshift(chi, axes=1), axis=1), axes=1)
-    w = sfft.fftshift(sfft.ifft(sfft.ifftshift(t, axes=0), axis=0), axes=0) * grid.M
-    return np.swapaxes(w, 0, 1) * (delta ** 2 / np.pi ** 2)
-
-
 def _check_psd(ops: np.ndarray, tol: float, what: str) -> None:
     """Refuse square matrices, stacked over leading axes, not Hermitian PSD within ``tol``."""
     adjoint = np.swapaxes(ops.conj(), -1, -2)
@@ -359,11 +335,11 @@ def _density_operator(rho: np.ndarray, space: CompositeSpace) -> np.ndarray:
 
 
 def _check_grid_covers(w: np.ndarray, grid: PhaseGrid) -> None:
-    """Reject transforms whose mass reaches the edge of the periodic grid.
+    """Reject transforms whose values at the edge of the grid are significant.
 
-    The discrete inversion conserves the quadrature sum exactly (it equals
-    chi(0)), so a state leaking past the grid wraps around instead of
-    denormalizing; significant boundary values are the reliable symptom.
+    The quadrature sum misses whatever lies past the edge, which the
+    normalization checks of ``wigner`` and ``PhaseFunction`` catch only
+    beyond their tolerances; the boundary values are the direct symptom.
     """
     edge = float(np.max(np.abs(w[grid.boundary_mask()])))
     if edge > 1e-4:
@@ -377,7 +353,8 @@ def wigner(rho_field: np.ndarray, grid: PhaseGrid) -> PhaseFunction:
     w = sharp_density(rho_field, space, grid).values[:, :, 0, 0]
     total = float(np.sum(w.real) * grid.weight)
     if not 0.99 <= total <= 1.01:
-        raise ValueError(f"quadrature normalization {total}; grid too small for this state")
+        raise ValueError(f"quadrature normalization {total}; "
+                         "grid too small or too coarse for this state")
     return PhaseFunction(grid, w.real, kind="wigner")
 
 
@@ -388,12 +365,15 @@ def sharp_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> Op
     operator on the field space and transforms independently; the atomic
     trace of the result is the Wigner function of the field-reduced state,
     and the quadrature over the grid is the reduced atomic density
-    operator.
+    operator. Each node is the displaced parity of the module docstring: the
+    parity (-1)^n multiplies the row index n of B_nm, so that the kernel sees
+    P B (on the column index it would give W(-a)).
     """
     rho = _density_operator(rho, space)
     d, nf = space.atom_dim, space.fock.dim
     blocks = rho.reshape(d, nf, d, nf).transpose(1, 3, 0, 2)
-    values = _invert_characteristic(_chi_on_grid(blocks, grid.lambda_nodes()), grid)
+    parity = (-1.0) ** np.arange(nf)[:, None, None, None]
+    values = (2.0 / np.pi) * _chi_on_grid(parity * blocks, 2.0 * grid.nodes())
     _check_grid_covers(np.einsum("xyii->xy", values), grid)
     return OperatorPhaseField(grid, values, kind="sharp")
 

@@ -42,8 +42,8 @@ from semicav.phasespace import (
     husimi_density,
     phase_space_moment,
 )
-from semicav.unitary import (AtomFieldModel, TimeGrid, integrate, integrate_coupling, rk4_step,
-                             rotated_current)
+from semicav.unitary import (AtomFieldModel, TimeGrid, density_operator, integrate,
+                             integrate_coupling, rk4_step, rotated_current)
 
 _K_CUT = 12.0  # radial low-pass of the spectral derivative, see the module docstring
 
@@ -264,7 +264,7 @@ def evolve_swe(model: AtomFieldModel, wave: SemiclassicalWave, tgrid: TimeGrid,
     raises when probability reaches the truncation edge. For the grid
     backend the boundary-mass growth, per step and over the run, is held to
     1e-8 (unless disabled through ``options``). Both check unit probability
-    after every step.
+    after every step. ``options`` apply to a grid wave only.
     """
     if abs(wave.time - tgrid.t_start) > 1e-12:
         raise ValueError(f"wave time {wave.time} does not match grid start {tgrid.t_start}")
@@ -277,6 +277,8 @@ def evolve_swe(model: AtomFieldModel, wave: SemiclassicalWave, tgrid: TimeGrid,
         return [wave] + [SemiclassicalWave("grid", time=t, grid=wave.grid, values=psi,
                                            norm_tol=tol)
                          for t, psi in zip(times[1:], ys[1:])]
+    if options is not None:
+        raise ValueError("GridOptions apply to grid waves only, not to a coefficient wave")
     times, ys = integrate_coupling(model, wave.coeffs.T, tgrid, _coefficient_guard(wave))
     return [wave] + [SemiclassicalWave("bargmann", time=t, basis=wave.basis, coeffs=Y.T,
                                        norm_tol=wave.norm_tol)
@@ -332,7 +334,6 @@ def sample_field(wave: SemiclassicalWave, count: int, seed: int) -> np.recarray:
     _require_grid(wave, "sample_field")
     rng = np.random.default_rng(seed)
     p = np.sum(np.abs(wave.values) ** 2, axis=2)
-    p = np.maximum(p, 0.0)
     p /= p.sum()
     row_mass = p.sum(axis=1)
     cum_rows = np.cumsum(row_mass)
@@ -396,8 +397,6 @@ def compare_to_oracle(wave: SemiclassicalWave, state: CompositeState,
     Both sides are smoothed semiclassical densities; they must agree node
     by node when the wave solves the same dynamics as the state.
     """
-    from semicav.unitary import density_operator
-
     wave = evaluate_on_grid(wave, grid)
     swe_field = np.einsum("xyi,xyj->xyij", wave.values, wave.values.conj())
     oracle_field = husimi_density(density_operator(state), state.space, grid)

@@ -282,8 +282,10 @@ class TestSampleCommand:
 
 
 class TestVerifyCommand:
-    def test_default_config_passes(self, tmp_path):
-        config = small_config(tmp_path, fock={"n_max": 8})
+    # L 6, M 32 is coarse, but the state fits: no check may refuse it
+    @pytest.mark.parametrize("L, M", [(5.0, 64), (6.0, 32)], ids=["L5-M64", "L6-M32"])
+    def test_default_config_passes(self, tmp_path, L, M):
+        config = small_config(tmp_path, fock={"n_max": 8}, grid={"L": L, "M": M})
         status, report = cmd_verify(config)
         assert status == 0
         assert report["all_pass"]

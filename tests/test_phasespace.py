@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import eval_laguerre
 
 from semicav import phasespace
 
@@ -63,6 +64,9 @@ class TestPhaseGrid:
             PhaseGrid(5.0, 48)
         with pytest.raises(ValueError):
             PhaseGrid(-1.0, 64)
+        for L in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                PhaseGrid(L, 64)
 
     def test_geometry(self):
         grid = PhaseGrid(5.0, 128)
@@ -70,10 +74,6 @@ class TestPhaseGrid:
         assert grid.axis()[0] == -5.0
         assert grid.axis()[64] == 0.0
         assert grid.nodes()[64, 64] == 0.0
-        # conjugate grid extent is pi/h
-        lam = grid.lambda_axis()
-        assert lam[1] - lam[0] == pytest.approx(np.pi / (grid.M * grid.h))
-        assert lam[-1] - lam[0] == pytest.approx(np.pi / grid.h, rel=1e-2)
 
     def test_tolerance_at_default(self):
         assert PhaseGrid(5.0, 128).tol == pytest.approx(1e-4)
@@ -165,6 +165,19 @@ class TestWigner:
         a = default_grid.nodes()
         exact = (2.0 / np.pi) * np.exp(-2.0 * np.abs(a - alpha) ** 2)
         assert np.max(np.abs(w.values - exact)) <= 1e-6
+
+    def test_fock_eight_on_coarse_grid(self):
+        # h = 0.3125 is coarse, but the transform is exact at the nodes
+        grid = PhaseGrid(5.0, 32)
+        w = wigner(fock_density(8, 8), grid)
+        r2 = np.abs(grid.nodes()) ** 2
+        exact = (2.0 / np.pi) * np.exp(-2.0 * r2) * eval_laguerre(8, 4.0 * r2)
+        assert np.max(np.abs(w.values - exact)) <= 1e-12
+
+    def test_under_resolved_grid_refused(self):
+        # h = 0.5 does not resolve the oscillations of |8><8|
+        with pytest.raises(ValueError, match="quadrature normalization"):
+            wigner(fock_density(8, 8), PhaseGrid(8.0, 32))
 
     def test_grid_too_small(self):
         # a coherent state sitting at |alpha| > L leaves the grid

@@ -183,6 +183,12 @@ class TestBargmannStepper:
         with pytest.raises(ValueError, match=r"total probability .* at step 1, t=0\.01"):
             evolve_swe(two_level_model(g=1.0), wave, TimeGrid(0.0, 1.0, 1e-2))
 
+    @pytest.mark.parametrize("options", [GridOptions(), GridOptions(norm_tol=0.0)])
+    def test_refuses_grid_options(self, options):
+        wave = initial_wave(EXCITED, FockBasis(8))
+        with pytest.raises(ValueError, match="GridOptions"):
+            evolve_swe(two_level_model(g=1.0), wave, TimeGrid(0.0, 1e-2, 1e-3), options)
+
     def test_matches_oracle_on_three_levels(self, three_level_model):
         # the coefficient backend steps the oracle's coupling map on F = Y^T
         model = three_level_model
