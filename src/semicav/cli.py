@@ -517,6 +517,11 @@ def main(argv=None) -> int:
         _time_grid_to(config, getattr(args, "time", 0.0))  # rabi and verify take no --time
     except (OverflowError, ValueError):
         parser.error(f"--time {args.time:g} is not a non-negative multiple of dt {config.dt:g}")
+    if args.verb == "verify":
+        try:  # the kernel depends on the grid alone; the checks of the other verbs need a state
+            phasespace.GaussianKernel.vacuum(config.phase_grid())
+        except ValueError as err:
+            parser.error(f"grid L {config.L:g}, M {config.M} is too coarse: {err}")
 
     if args.verb == "rabi":
         try:

@@ -216,22 +216,6 @@ class GridStepper:
         return out
 
 
-def _coefficient_guard(wave: SemiclassicalWave):
-    """Per-step checks of the coefficient backend on Y = F^T, shaped (d, n_max + 1)."""
-
-    def guard(step, t, Y):
-        top = float(np.vdot(Y[:, -1], Y[:, -1]).real)
-        if not top <= 1e-8:
-            raise RuntimeError(f"probability {top} at the truncation edge at step {step}, "
-                               f"t={t}; raise n_max")
-        total = float(np.vdot(Y, Y).real)
-        if not abs(total - 1.0) <= wave.norm_tol:
-            raise ValueError(f"total probability {total} deviates from 1 beyond {wave.norm_tol} "
-                             f"at step {step}, t={t}")
-
-    return guard
-
-
 def _grid_guard(wave: SemiclassicalWave, tol: float, check_boundary: bool):
     """Per-step checks of the grid backend: boundary-mass growth, then unit probability."""
     grid = wave.grid
@@ -260,11 +244,12 @@ def evolve_swe(model: AtomFieldModel, wave: SemiclassicalWave, tgrid: TimeGrid,
                options: GridOptions | None = None) -> list[SemiclassicalWave]:
     """Drive either backend over a TimeGrid, sampling every ``sample_stride`` steps.
 
-    The coefficient backend steps the oracle's coupling map on F^T and
-    raises when probability reaches the truncation edge. For the grid
+    The coefficient backend steps the oracle's coupling map on F^T under the
+    checks of ``integrate_coupling``, with ``wave.norm_tol`` as the probability
+    tolerance. For the grid
     backend the boundary-mass growth, per step and over the run, is held to
-    1e-8 (unless disabled through ``options``). Both check unit probability
-    after every step. ``options`` apply to a grid wave only.
+    1e-8 (unless disabled through ``options``), and unit probability is
+    checked after every step. ``options`` apply to a grid wave only.
     """
     if abs(wave.time - tgrid.t_start) > 1e-12:
         raise ValueError(f"wave time {wave.time} does not match grid start {tgrid.t_start}")
@@ -279,7 +264,7 @@ def evolve_swe(model: AtomFieldModel, wave: SemiclassicalWave, tgrid: TimeGrid,
                          for t, psi in zip(times[1:], ys[1:])]
     if options is not None:
         raise ValueError("GridOptions apply to grid waves only, not to a coefficient wave")
-    times, ys = integrate_coupling(model, wave.coeffs.T, tgrid, _coefficient_guard(wave))
+    times, ys = integrate_coupling(model, wave.coeffs.T, tgrid, wave.norm_tol)
     return [wave] + [SemiclassicalWave("bargmann", time=t, basis=wave.basis, coeffs=Y.T,
                                        norm_tol=wave.norm_tol)
                      for t, Y in zip(times[1:], ys[1:])]

@@ -31,6 +31,8 @@ class AtomFieldModel:
         self.h_ato = np.asarray(self.h_ato, dtype=complex)
         self.j = np.asarray(self.j, dtype=complex)
         d = self.atom_dim
+        if d < 1:
+            raise ValueError(f"atom_dim must be >= 1, got {d}")
         if self.h_ato.shape != (d, d) or self.j.shape != (d, d):
             raise ValueError(f"h_ato and j must be {d}x{d} matrices")
         if not np.isfinite([*self.h_ato.ravel(), *self.j.ravel(), self.omega]).all():
@@ -163,21 +165,37 @@ def integrate(step: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, t
 
 
 def integrate_coupling(model: AtomFieldModel, Y0: np.ndarray, tgrid: TimeGrid,
-                       guard: Callable[[int, float, np.ndarray], None]) -> tuple[np.ndarray, list]:
+                       norm_tol: float) -> tuple[np.ndarray, list]:
     """RK4 for dPsi/dt = -i H_I(t) Psi on Y shaped (d, n_max + 1), Psi = Y.ravel().
 
     H_I(t + s) = U0(t)+ H_I(s) U0(t), so the steps telescope to Psi_n =
-    U0(t_n)+ G^n U0(t_start) Psi_0 with G = U0(dt) M, M the RK4 map from 0.
-    ``guard`` reads the iterate G^n U0(t_start) Psi_0, whose norm and Fock
-    populations are those of Psi_n. The samples are shaped like Y0; the first is a copy of it.
+    U0(t_n)+ G^n U0(t_start) Psi_0 with G = U0(dt) M, M the RK4 map from 0,
+    and ||H_I(t)|| is the same at every t. Refuses dt * ||H_I|| > 0.05, then
+    after each step reads the iterate G^n U0(t_start) Psi_0, whose Fock
+    populations are those of Psi_n, and raises when its top-Fock population
+    exceeds 1e-8 or its total probability deviates from 1 by more than
+    ``norm_tol``. The samples are shaped like Y0; the first is a copy of it.
     """
     d, nf = Y0.shape
     space = CompositeSpace(d, FockBasis(nf - 1))
+    if tgrid.dt * np.linalg.norm(interaction_hamiltonian(model, tgrid.t_start, space), 2) > 0.05:
+        raise ValueError("dt * ||H_I|| exceeds 0.05; reduce dt")
     n = np.arange(nf)
 
     def U0(t):  # exp(-i (H_ato (x) 1 + omega 1 (x) a+a) t), atom index first
         atom = (model._V * np.exp(-1j * model._evals * t)) @ model._V.conj().T
         return np.kron(atom, np.diag(np.exp(-1j * model.omega * t * n)))
+
+    def guard(step, t, Y):
+        edge = Y[:, -1]
+        top = float(np.vdot(edge, edge).real)
+        if not top <= 1e-8:
+            raise RuntimeError(f"probability {top} at the truncation edge at step {step}, "
+                               f"t={t}; raise n_max")
+        total = float(np.vdot(Y, Y).real)
+        if not abs(total - 1.0) <= norm_tol:
+            raise RuntimeError(f"total probability {total} deviates from 1 beyond {norm_tol} "
+                               f"at step {step}, t={t}; dt too large")
 
     M = rk4_step(lambda s, X: -1j * interaction_hamiltonian(model, s, space) @ X,
                  0.0, np.eye(d * nf, dtype=complex), tgrid.dt)
@@ -189,23 +207,8 @@ def integrate_coupling(model: AtomFieldModel, Y0: np.ndarray, tgrid: TimeGrid,
 
 
 def evolve_unitary(model: AtomFieldModel, psi0: CompositeState, grid: TimeGrid) -> Trajectory:
-    """Integrate dPsi/dt = -i H_I(t) Psi and sample along the way.
-
-    Raises if dt is too coarse for the coupling strength (measured at
-    ``t_start``) or if the norm drifts by more than 1e-6 during the run,
-    which signals either an unstable step or truncation overflow.
-    """
-    space = psi0.space
-    h0 = interaction_hamiltonian(model, grid.t_start, space)
-    if grid.dt * np.linalg.norm(h0, 2) > 0.05:
-        raise ValueError("dt * ||H_I|| exceeds 0.05; reduce dt")
-
-    def guard(step, t, Y):
-        nrm = np.sqrt(np.vdot(Y, Y).real)
-        if not abs(nrm - 1.0) <= 1e-6:
-            raise RuntimeError(f"norm drifted to {nrm} at step {step}, t={t}; "
-                               "dt too large or basis too small")
-
-    times, ys = integrate_coupling(model, psi0.as_matrix(), grid, guard)
+    """Integrate dPsi/dt = -i H_I(t) Psi and sample along the way, under the checks of
+    ``integrate_coupling`` with total probability held to 1 within 1e-6."""
+    times, ys = integrate_coupling(model, psi0.as_matrix(), grid, 1e-6)
     return Trajectory(times=times,
-                      states=[CompositeState(space, Y.ravel(), norm_tol=1e-6) for Y in ys])
+                      states=[CompositeState(psi0.space, Y.ravel(), norm_tol=1e-6) for Y in ys])

@@ -139,6 +139,8 @@ class TestConfig:
          "h_ato in model must be a square list"),
         ({"model": {"atom_dim": 1, "h_ato": [[0]], "j": [[[1, 0]]], "omega": 1.0}},
          "h_ato in model must be a square list"),
+        ({"model": {"atom_dim": 0, "h_ato": [], "j": [], "omega": 1.0}},
+         "atom_dim must be >= 1, got 0"),
     ])
     def test_invalid_values_are_refused_at_load(self, tmp_path, overrides, message):
         with pytest.raises(ValueError, match=message):
@@ -251,6 +253,20 @@ class TestPhasespaceCommand:
     def test_rejects_unknown_kind(self, tmp_path):
         with pytest.raises(ValueError):
             cmd_phasespace(small_config(tmp_path), 0.0, "glauber")
+
+    @pytest.mark.parametrize("kind", ["husimi", "wigner"])
+    def test_truncation_overflow_writes_no_field(self, tmp_path, kind):
+        # a sigma_x current does not conserve excitations, so by t = 1.5 the
+        # oracle's probability reaches the top level of an n_max 4 mode
+        sz = [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]
+        sx = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(small_config(
+            tmp_path, model={"atom_dim": 2, "h_ato": sz, "j": sx, "omega": 1.0},
+            fock={"n_max": 4}).to_dict()))
+        with pytest.raises(RuntimeError, match="truncation edge"):
+            main(["--config", str(path), "phasespace", "--kind", kind, "--time", "1.5"])
+        assert not (tmp_path / "out" / f"field_{kind}_t1.5.csv").exists()
 
     def test_zero_time_runs_the_evolve_path(self, tmp_path):
         # t = 0 is an ordinary run of zero steps, so the oracle's dt guard applies
@@ -415,6 +431,26 @@ class TestMain:
             main(["--config", str(path), "--out", str(tmp_path / "out"), "rabi"])
         assert exit_info.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == f"semicav: error: {message}"
+        assert not (tmp_path / "out").exists()
+
+    def test_verify_refuses_a_coarse_grid_before_evolving(self, tmp_path, monkeypatch, capsys):
+        # the vacuum kernel depends on L and M alone, so verify refuses such a grid up front
+        path = tmp_path / "config.json"
+        doc = small_config(tmp_path).to_dict()
+        doc["grid"] = {"L": 20.0, "M": 32}
+        path.write_text(json.dumps(doc))
+
+        def evolve(*_):
+            raise AssertionError("evolved before the grid was validated")
+
+        monkeypatch.setattr(unitary, "evolve_unitary", evolve)
+        monkeypatch.setattr(swe, "evolve_swe", evolve)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--config", str(path), "--out", str(tmp_path / "out"), "verify"])
+        assert exit_info.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("semicav: error: grid L 20, M 32 is too coarse: "
+                               "kernel integral 1.177")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, value, message", [

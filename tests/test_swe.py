@@ -123,8 +123,10 @@ class TestInitialWave:
 
     def test_guards_refuse_nan(self, grid64):
         barg = initial_wave(EXCITED, FockBasis(6))
-        with pytest.raises(RuntimeError, match=r"probability nan .* at step 3, t=0\.5;"):
-            swe._coefficient_guard(barg)(3, 0.5, np.full((2, 7), np.nan, dtype=complex))
+        barg.coeffs[1, 1] = np.nan  # after the constructor's check
+        with pytest.raises(RuntimeError, match=r"probability nan at the truncation edge "
+                                                r"at step 1, t=0\.01;"):
+            evolve_swe(two_level_model(g=1.0), barg, TimeGrid(0.0, 1.0, 0.01))
         wave = initial_wave(EXCITED, grid64)
         nan = np.full_like(wave.values, np.nan)
         with pytest.raises(RuntimeError, match=r"boundary mass grew by nan .*step 3, t=0\.5\)"):
@@ -160,15 +162,22 @@ class TestBargmannStepper:
         np.testing.assert_allclose(wave.coeffs[1], -1j * np.sin(t) * GROUND, atol=1e-8)
         assert wave.total_probability() == pytest.approx(1.0, abs=1e-9)
 
-    def test_truncation_overflow_raises(self):
-        # a cascade atom emits two photons, overflowing a 3-level mode
+    @pytest.mark.parametrize("picture", ["oracle", "coefficient"])
+    def test_truncation_overflow_raises(self, picture):
+        # a cascade atom emits two photons, overflowing a 3-level mode. Both pictures
+        # check the raw iterate of one coupling map, so both stop at the same step.
         lower = np.zeros((3, 3), dtype=complex)
         lower[1, 0] = lower[2, 1] = 1.0
         model = AtomFieldModel(3, h_ato=np.zeros((3, 3)), j=lower, omega=0.0)
         psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-        wave = initial_wave(psi0, FockBasis(2))
-        with pytest.raises(RuntimeError, match=r"truncation edge at step \d+, t="):
-            evolve_swe(model, wave, TimeGrid(0.0, 2.0, 1e-3))
+        vac = np.array([1.0, 0.0, 0.0], dtype=complex)
+        tgrid = TimeGrid(0.0, 2.0, 1e-3)
+        with pytest.raises(RuntimeError, match=r"truncation edge at step 12, t=0\.012;"):
+            if picture == "oracle":
+                space = CompositeSpace(3, FockBasis(2))
+                evolve_unitary(model, product_initial_state(psi0, vac, space), tgrid)
+            else:
+                evolve_swe(model, initial_wave(psi0, FockBasis(2)), tgrid)
 
     def test_probability_conserved_per_unit_time(self):
         model = two_level_model(g=1.0, detuning=0.5)
@@ -180,7 +189,8 @@ class TestBargmannStepper:
         # with no tolerance the RK4 norm defect of the first step is caught
         wave = SemiclassicalWave("bargmann", time=0.0, basis=FockBasis(6),
                                  coeffs=initial_wave(EXCITED, FockBasis(6)).coeffs, norm_tol=0.0)
-        with pytest.raises(ValueError, match=r"total probability .* at step 1, t=0\.01"):
+        with pytest.raises(RuntimeError, match=r"total probability .* beyond 0\.0 at step 1, "
+                                                r"t=0\.01;"):
             evolve_swe(two_level_model(g=1.0), wave, TimeGrid(0.0, 1.0, 1e-2))
 
     @pytest.mark.parametrize("options", [GridOptions(), GridOptions(norm_tol=0.0)])

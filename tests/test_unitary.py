@@ -207,7 +207,8 @@ class TestEvolution:
     def test_norm_guard_refuses_nan(self):
         model, space, psi0 = rabi_setup()
         psi0.amplitudes[3] = np.nan  # after the constructor's check
-        with pytest.raises(RuntimeError, match=r"norm drifted to nan at step 1, t=0\.01;"):
+        with pytest.raises(RuntimeError, match=r"probability nan at the truncation edge "
+                                                r"at step 1, t=0\.01;"):
             evolve_unitary(model, psi0, TimeGrid(0.0, 1.0, 0.01))
 
     def test_norm_guard_names_step_and_time(self):
@@ -215,7 +216,9 @@ class TestEvolution:
         amps = np.zeros(space.total_dim, dtype=complex)
         amps[0] = 1.0 + 1e-5
         psi0 = CompositeState(space, amps, norm_tol=1e-4)
-        with pytest.raises(RuntimeError, match=r"norm drifted to .* at step 1, t=0\.01;"):
+        # the oracle holds total probability, not the norm, to 1e-6
+        with pytest.raises(RuntimeError, match=r"total probability 1\.00002.* beyond 1e-06 "
+                                                r"at step 1, t=0\.01;"):
             evolve_unitary(model, psi0, TimeGrid(0.0, 1.0, 0.01))
 
 
@@ -240,38 +243,28 @@ def stepwise_rk4(model, space, Y0, tgrid):
 class TestCouplingOde:
     @pytest.mark.parametrize("which", ["three_level", "detuned_two_level"])
     def test_step_map_matches_stepwise_rk4(self, which, request):
+        # a random start on the two lowest Fock levels, in a basis wide enough that the
+        # top level stays below the 1e-8 edge over the run
         if which == "three_level":
             model = request.getfixturevalue("three_level_model")
-            space = CompositeSpace(3, FockBasis(6))
+            space = CompositeSpace(3, FockBasis(12))
         else:
             model, space = two_level_model(g=0.7, detuning=0.9), CompositeSpace(2, FockBasis(5))
         rng = np.random.default_rng(17)
         shape = (space.atom_dim, space.fock.dim)
-        Y0 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        Y0 = np.zeros(shape, dtype=complex)
+        Y0[:, :2] = rng.normal(size=(shape[0], 2)) + 1j * rng.normal(size=(shape[0], 2))
         Y0 /= np.linalg.norm(Y0)
-        tgrid = TimeGrid(0.3, 2.7, 0.02, 30)
-        seen = {}
-
-        def guard(step, t, Y):
-            assert Y.shape == shape
-            seen[step] = (t, np.vdot(Y, Y).real, np.vdot(Y[:, -1], Y[:, -1]).real)
-
-        times, ys = unitary.integrate_coupling(model, Y0, tgrid, guard)
+        tgrid = TimeGrid(0.3, 2.7, 0.01, 60)
+        times, ys = unitary.integrate_coupling(model, Y0, tgrid, 1e-6)
         expected = stepwise_rk4(model, space, Y0, tgrid)
-        np.testing.assert_array_equal(times, [0.3 + n * 0.02 for n in range(0, 121, 30)])
+        np.testing.assert_array_equal(times, [0.3 + n * 0.01 for n in range(0, 241, 60)])
         np.testing.assert_array_equal(ys[0], Y0)
         assert ys[0] is not Y0
         assert len(ys) == len(expected) == 5
         for Y, y in zip(ys, expected):
             assert Y.shape == shape
             assert np.max(np.abs(Y.ravel() - y)) <= 1e-12
-        # the guards read the raw iterate: its norm and top-Fock population are the state's
-        assert sorted(seen) == list(range(1, 121))
-        for n, Y in zip(range(30, 121, 30), ys[1:]):
-            t, norm_sq, top = seen[n]
-            assert t == 0.3 + n * 0.02
-            assert norm_sq == pytest.approx(np.vdot(Y, Y).real, abs=1e-14)
-            assert top == pytest.approx(np.vdot(Y[:, -1], Y[:, -1]).real, abs=1e-14)
 
     def test_integrate_samples_and_guards(self):
         # dy/dt = y: RK4 samples track e^t; the guard sees every step, and each
