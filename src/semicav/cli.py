@@ -213,10 +213,8 @@ def _write_csv(path: Path, header_meta: dict, columns: list[str], table: np.ndar
 
 def _grid_table(grid: phasespace.PhaseGrid, values: np.ndarray) -> np.ndarray:
     """(M^2, 2 + k) table of x, y and the k real values per node, row-major over the grid."""
-    M = grid.M
-    x = grid.axis()
-    xy = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(M * M, 2)
-    return np.hstack((xy, values.reshape(M * M, -1)))
+    a = grid.nodes().ravel()
+    return np.column_stack((a.real, a.imag, values.reshape(a.size, -1)))
 
 
 def _initial_composite(config: ScenarioConfig) -> unitary.CompositeState:
@@ -346,9 +344,8 @@ def cmd_sample(config: ScenarioConfig, t: float) -> Path:
     wave = swe.evaluate_on_grid(_run_swe(config, _time_grid_to(config, t))[-1],
                                 config.phase_grid())
     samples = swe.sample_field(wave, count, seed)
-    d = wave.atom_dim
     path = Path(config.output_dir) / f"samples_t{t:g}.csv"
-    state_cols = [f"{part}_psi{i}" for i in range(d) for part in ("re", "im")]
+    state_cols = [f"{part}_psi{i}" for i in range(wave.atom_dim) for part in ("re", "im")]
     table = np.column_stack((samples.a.real, samples.a.imag,
                              samples.conditional_state.view(float)))
     _write_csv(path, {"kind": "samples", "time": t, "count": count, "seed": seed,
@@ -522,6 +519,12 @@ def main(argv=None) -> int:
             phasespace.GaussianKernel.vacuum(config.phase_grid())
         except ValueError as err:
             parser.error(f"grid L {config.L:g}, M {config.M} is too coarse: {err}")
+    oracle = args.verb in ("rabi", "verify") or getattr(args, "kind", None) in ("wigner", "husimi")
+    if oracle or config.swe_backend == "bargmann":  # the runs that reach integrate_coupling
+        try:
+            unitary.check_coupling_dt(config.model, config.composite_space(), config.dt)
+        except ValueError as err:
+            parser.error(f"dt {config.dt:g} in time is too coarse: {err}")
 
     if args.verb == "rabi":
         try:

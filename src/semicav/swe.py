@@ -310,37 +310,25 @@ def swe_expectation(wave: SemiclassicalWave, F: SemiclassicalObservable) -> floa
 def sample_field(wave: SemiclassicalWave, count: int, seed: int) -> np.recarray:
     """Draw field values from ||psi(a)||^2 by inverse-CDF on the grid density.
 
-    The discretized density is treated as a categorical distribution over
-    grid nodes, factorized into the marginal along Re a and the conditional
-    along Im a. Fixed seed gives an identical sample sequence. Returns
-    records with fields ``a`` (complex) and ``conditional_state`` (complex,
-    shape (d,)), each state checked to unit norm within 1e-12.
+    One categorical distribution over the M^2 nodes, in the C order of
+    ``values.reshape(-1, d)`` and ``grid.nodes().ravel()``: a draw is the first
+    node whose cumulative mass, normalized to end at exactly 1, exceeds one
+    uniform in [0, 1), so no node of zero mass is drawn. Fixed seed gives an
+    identical sample sequence. Returns records with fields ``a`` (complex) and
+    ``conditional_state`` (complex, shape (d,)), each checked to unit norm within 1e-12.
     """
     _require_grid(wave, "sample_field")
-    rng = np.random.default_rng(seed)
-    p = np.sum(np.abs(wave.values) ** 2, axis=2)
-    p /= p.sum()
-    row_mass = p.sum(axis=1)
-    cum_rows = np.cumsum(row_mass)
-    cum_rows[-1] = 1.0
-    u = rng.random((count, 2))
-    rows = np.searchsorted(cum_rows, u[:, 0], side="left")
-    rows = np.clip(rows, 0, wave.grid.M - 1)
-    cols = np.empty(count, dtype=int)
-    for r in np.unique(rows):
-        sel = rows == r
-        cond = np.cumsum(p[r])
-        cond /= cond[-1]
-        cols[sel] = np.clip(np.searchsorted(cond, u[sel, 1], side="left"), 0, wave.grid.M - 1)
-    x = wave.grid.axis()
-    vecs = wave.values[rows, cols]
+    cdf = np.cumsum(np.sum(np.abs(wave.values) ** 2, axis=2))
+    cdf /= cdf[-1]
+    nodes = np.searchsorted(cdf, np.random.default_rng(seed).random(count), side="right")
+    vecs = wave.values.reshape(-1, wave.atom_dim)[nodes]
     # the per-vector arithmetic of np.linalg.norm, row by row
     states = vecs / np.sqrt(np.vecdot(vecs.real, vecs.real)
                             + np.vecdot(vecs.imag, vecs.imag))[:, None]
     deviation = np.abs(np.linalg.norm(states, axis=1) - 1.0)
     if not np.all(deviation <= 1e-12):
         raise ValueError(f"conditional state norm deviates from 1 by {np.max(deviation)}")
-    return np.rec.fromarrays([x[rows] + 1j * x[cols], states],
+    return np.rec.fromarrays([wave.grid.nodes().ravel()[nodes], states],
                              dtype=[("a", complex), ("conditional_state", complex, (wave.atom_dim,))])
 
 

@@ -72,6 +72,9 @@ class TimeGrid:
     sample_stride: int = 1
 
     def __post_init__(self):
+        for name in ("t_start", "t_end", "dt"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_end < self.t_start:
@@ -164,22 +167,27 @@ def integrate(step: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, t
     return np.asarray(times), ys
 
 
+def check_coupling_dt(model: AtomFieldModel, space: CompositeSpace, dt: float) -> None:
+    """Refuse dt * ||H_I|| > 0.05; ||H_I(t)|| is the same at every t, so check before evolving."""
+    if dt * np.linalg.norm(interaction_hamiltonian(model, 0.0, space), 2) > 0.05:
+        raise ValueError("dt * ||H_I|| exceeds 0.05; reduce dt")
+
+
 def integrate_coupling(model: AtomFieldModel, Y0: np.ndarray, tgrid: TimeGrid,
                        norm_tol: float) -> tuple[np.ndarray, list]:
     """RK4 for dPsi/dt = -i H_I(t) Psi on Y shaped (d, n_max + 1), Psi = Y.ravel().
 
     H_I(t + s) = U0(t)+ H_I(s) U0(t), so the steps telescope to Psi_n =
     U0(t_n)+ G^n U0(t_start) Psi_0 with G = U0(dt) M, M the RK4 map from 0,
-    and ||H_I(t)|| is the same at every t. Refuses dt * ||H_I|| > 0.05, then
-    after each step reads the iterate G^n U0(t_start) Psi_0, whose Fock
+    and ||H_I(t)|| is the same at every t. Refuses a coarse dt (``check_coupling_dt``),
+    then after each step reads the iterate G^n U0(t_start) Psi_0, whose Fock
     populations are those of Psi_n, and raises when its top-Fock population
     exceeds 1e-8 or its total probability deviates from 1 by more than
     ``norm_tol``. The samples are shaped like Y0; the first is a copy of it.
     """
     d, nf = Y0.shape
     space = CompositeSpace(d, FockBasis(nf - 1))
-    if tgrid.dt * np.linalg.norm(interaction_hamiltonian(model, tgrid.t_start, space), 2) > 0.05:
-        raise ValueError("dt * ||H_I|| exceeds 0.05; reduce dt")
+    check_coupling_dt(model, space, tgrid.dt)
     n = np.arange(nf)
 
     def U0(t):  # exp(-i (H_ato (x) 1 + omega 1 (x) a+a) t), atom index first

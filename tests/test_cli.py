@@ -453,6 +453,41 @@ class TestMain:
                                "kernel integral 1.177")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["rabi"], ["verify"], ["phasespace", "--kind", "wigner"],
+        ["--backend", "grid", "phasespace", "--kind", "husimi"],
+        ["sample"], ["phasespace", "--kind", "swe-density"],
+    ], ids=["rabi", "verify", "wigner", "husimi-grid-backend", "sample", "swe-density"])
+    def test_coarse_dt_refused_before_evolving(self, tmp_path, monkeypatch, capsys, args):
+        # every run that reaches the coefficient picture: the oracle, or the coefficient backend
+        path = tmp_path / "config.json"
+        doc = small_config(tmp_path).to_dict()
+        doc["time"]["dt"] = 0.1
+        path.write_text(json.dumps(doc))
+
+        def evolve(*_):
+            raise AssertionError("evolved before dt was validated")
+
+        monkeypatch.setattr(unitary, "evolve_unitary", evolve)
+        monkeypatch.setattr(swe, "evolve_swe", evolve)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--config", str(path), "--out", str(tmp_path / "out")] + args)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "semicav: error: dt 0.1 in time is too coarse: dt * ||H_I|| exceeds 0.05; reduce dt")
+        assert not (tmp_path / "out").exists()
+
+    def test_coarse_dt_left_to_grid_only_runs(self, tmp_path):
+        # the grid backend never reaches the coefficient picture, so dt 0.1 is not refused
+        path = tmp_path / "config.json"
+        doc = small_config(tmp_path).to_dict()
+        doc["time"]["dt"] = 0.1
+        path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out_dir), "--backend", "grid",
+                     "sample", "--time", "0", "--count", "10"]) == 0
+        assert (out_dir / "samples_t0.csv").exists()
+
     @pytest.mark.parametrize("section, value, message", [
         ("fock", 5, "fock in top level must be an object, got 5"),
         ("model", {"preset": "two-level", "g": "x"}, "g in model must be a number, got 'x'"),

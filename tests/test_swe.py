@@ -512,6 +512,36 @@ class TestSampling:
             np.testing.assert_array_equal(
                 state, vec / np.sqrt(np.vecdot(vec.real, vec.real) + np.vecdot(vec.imag, vec.imag)))
 
+    def test_zero_uniform_draws_first_node_of_positive_mass(self, grid64, monkeypatch):
+        values = initial_wave(EXCITED, grid64).values.copy()
+        values[0, :] = values[:, 0] = 0.0
+        wave = SemiclassicalWave("grid", time=0.0, grid=grid64, values=values)
+
+        class ZeroRng:
+            def random(self, count):
+                return np.zeros(count)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroRng())
+        samples = sample_field(wave, 3, seed=0)
+        np.testing.assert_array_equal(samples.a, np.full(3, grid64.nodes()[1, 1]))
+        np.testing.assert_array_equal(samples.conditional_state, np.tile(EXCITED, (3, 1)))
+
+    def test_node_frequencies_match_density(self):
+        grid = PhaseGrid(5.0, 32)
+        rng = np.random.default_rng(5)
+        values = _random_wave(rng, grid, 2)
+        values[0, :] = values[:, 0] = 0.0
+        values /= np.sqrt(np.sum(np.abs(values) ** 2) * grid.weight)
+        wave = SemiclassicalWave("grid", time=0.0, grid=grid, values=values)
+        count = 100000
+        samples = sample_field(wave, count, seed=13)
+        ix, iy = (np.round((part + grid.L) / grid.h).astype(int)
+                  for part in (samples.a.real, samples.a.imag))
+        freq = np.bincount(ix * grid.M + iy, minlength=grid.M ** 2) / count
+        p = (np.sum(np.abs(values) ** 2, axis=2) * grid.weight).ravel()
+        stderr = np.sqrt(p * (1.0 - p) / count)
+        assert np.all(np.abs(freq - p) <= 5.0 * stderr)  # a node of zero mass is never drawn
+
 
 class TestJaynesCummingsReference:
     """Collapse and revival from a coherent field, against the closed-form series.

@@ -321,6 +321,14 @@ class TestTimeGrid:
         np.testing.assert_array_equal(ys[0], y0)
         assert ys[0] is not y0
 
+    @pytest.mark.parametrize("t_start, t_end, dt, name", [
+        (0.0, 1.0, np.inf, "dt"), (0.0, 1.0, np.nan, "dt"), (0.0, np.inf, 0.1, "t_end"),
+        (0.0, np.nan, 0.1, "t_end"), (-np.inf, 1.0, 0.1, "t_start"), (np.nan, 1.0, 0.1, "t_start"),
+    ])
+    def test_rejects_non_finite_fields(self, t_start, t_end, dt, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            TimeGrid(t_start, t_end, dt)
+
     def test_rejects_end_before_start(self):
         with pytest.raises(ValueError, match="must not precede"):
             TimeGrid(1.0, 0.5, 0.1)
