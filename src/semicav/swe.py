@@ -157,62 +157,77 @@ class GridStepper:
     """Precomputed right-hand side of the grid backend, stepped by ``integrate``.
 
     ``rhs`` is ``-i(a* ψJᵀ + ½a ψJ†ᵀ + ∂*ψ J†ᵀ) - μ D†Dψ`` with ``D = ∂ + ½a*``
-    and ``D† = -∂* + ½a``. The d×d products act on each node alone, so they
-    commute with the transforms over the node axes:
-    ``ifft2(S*·F)(-iJ†ᵀ) = ifft2(S*·(F(-iJ†ᵀ)))``. The coupling's ``∂*ψ`` and the
-    penalty's ``μ∂*Dψ`` therefore share one inverse transform, and a call does
-    four transforms of d planes (two when ``damping`` is 0). The node
-    multipliers are stored at the full ``(M, M, d)`` shape, the transforms
-    run in place on work buffers, and the only grid-sized array a call
-    allocates is the one it returns: ``rk4_step`` holds all four at once.
+    and ``D† = -∂* + ½a``. The d×d products commute with the transforms over the
+    node axes, so ``∂*ψ`` and ``μ∂*Dψ`` share one inverse transform: a call does
+    four transforms of d planes (two when ``damping`` is 0). Each runs only on the
+    band of B fftfreq indices per axis with |k| ≤ ``_K_CUT``, off which the symbols,
+    stored at ``(B, B, d)``, vanish: forward, a full 1-D pass along axis 1, then
+    axis 0 over the band columns; inverse, the reverse, with the gap off the band
+    zeroed at every call. The passes run in place on work buffers, and the only
+    grid-sized array a call allocates is the one it returns: ``rk4_step`` keeps it.
     """
 
     def __init__(self, model: AtomFieldModel, grid: PhaseGrid):
-        self.model = model
-        self.grid = grid
+        self.model, self.grid = model, grid
         self.damping = 5.0 * float(np.linalg.norm(model.j, 2))
-        shape = (grid.M, grid.M, model.atom_dim)
+        M, d = grid.M, model.atom_dim
 
         def per_node(values):
-            return np.broadcast_to(values[:, :, None], shape).astype(complex)
+            return np.broadcast_to(values[:, :, None], values.shape + (d,)).astype(complex)
 
         nodes = grid.nodes()
         self._half_a = per_node(0.5 * nodes)
         self._half_ac = per_node(0.5 * np.conj(nodes))
-        k = 2.0 * np.pi * sfft.fftfreq(grid.M, d=grid.h)
-        kx = k[:, None]
-        ky = k[None, :]
-        keep = (kx ** 2 + ky ** 2 <= _K_CUT ** 2).astype(float)
+        k = 2.0 * np.pi * sfft.fftfreq(M, d=grid.h)
+        keep = k[:, None] ** 2 + k[None, :] ** 2 <= _K_CUT ** 2
+        self._band = band = np.flatnonzero(keep.any(axis=1))
+        self._gap = slice(band.size // 2 + 1, M - band.size // 2)
+        kx, ky, keep = k[band, None], k[None, band], keep[np.ix_(band, band)]
         self._s_dastar = per_node(0.5 * (1j * kx - ky) * keep)
         self._s_da = per_node(0.5 * (1j * kx + ky) * keep)
-        self._f, self._g, self._w, self._tmp = (np.empty(shape, dtype=complex) for _ in range(4))
+        self._f, self._g = (np.empty(self._s_da.shape, dtype=complex) for _ in range(2))
+        self._strip = np.empty((M, band.size, d), dtype=complex)
+        self._v, self._w, self._tmp = (np.empty((M, M, d), dtype=complex) for _ in range(3))
 
     def _coupling(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Current operator and its adjoint at a stage time (test seam)."""
         jt = rotated_current(self.model, t)
         return jt, jt.conj().T
 
+    def _band_fft2(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The band of ``fft2(x)`` over the node axes into ``out``; ``x`` is overwritten."""
+        strip = np.take(sfft.fft(x, axis=1, overwrite_x=True), self._band, axis=1, out=self._strip)
+        return np.take(sfft.fft(strip, axis=0, overwrite_x=True), self._band, axis=0, out=out)
+
+    def _band_ifft2(self, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Inverse of ``_band_fft2``: the band spectrum zero-padded to (M, M, d), into ``out``."""
+        self._strip[self._band] = spectrum
+        self._strip[self._gap] = 0.0
+        out[:, self._band] = sfft.ifft(self._strip, axis=0, overwrite_x=True)
+        out[:, self._gap] = 0.0
+        return sfft.ifft(out, axis=1, overwrite_x=True)
+
     def rhs(self, t: float, psi: np.ndarray) -> np.ndarray:
         jt, jdt = self._coupling(t)
         lower = -1j * jdt.T
-        np.copyto(self._f, psi)
-        f = sfft.fft2(self._f, axes=(0, 1), overwrite_x=True)
+        np.copyto(self._v, psi)
+        f = self._band_fft2(self._v, self._f)
         g = np.matmul(f, lower, out=self._g)                   # F(-iJ†ᵀ)
         w = np.matmul(psi, lower, out=self._w)                 # ψ(-iJ†ᵀ)
         mu = self.damping
         if mu:
             f *= self._s_da                                    # F is spent after g
-            v = sfft.ifft2(f, axes=(0, 1), overwrite_x=True)   # ∂ψ
+            v = self._band_ifft2(f, self._v)                   # ∂ψ
             v += np.multiply(self._half_ac, psi, out=self._tmp)  # Dψ
             v *= mu
             w -= v
-            g += sfft.fft2(v, axes=(0, 1), overwrite_x=True)
+            g += self._band_fft2(v, self._f)
         g *= self._s_dastar
         w *= self._half_a
         out = psi @ (-2j * jt.T)
         out *= self._half_ac
         out += w
-        out += sfft.ifft2(g, axes=(0, 1), overwrite_x=True)
+        out += self._band_ifft2(g, self._v)
         return out
 
 

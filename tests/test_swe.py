@@ -339,28 +339,61 @@ class TestGridStepper:
         assert all(np.max(np.abs(x - y)) > 0 for x, y in zip(ys, ys[1:]))
 
     @pytest.mark.parametrize("which", ["two_level", "three_level"])
-    def test_rhs_transform_count(self, which, grid64, request, monkeypatch):
+    @pytest.mark.parametrize("L, M, band", [(2.5, 32, 19), (6.0, 32, 32), (8.0, 256, 61)])
+    def test_rhs_matches_reference_across_band_widths(self, which, L, M, band, request):
+        # a band narrower than the axis, one that is the whole axis (no padding)
+        # and a wide grid whose band is a quarter of it
         model = (two_level_model(g=1.0) if which == "two_level"
                  else request.getfixturevalue("three_level_model"))
-        d = model.atom_dim
-        planes = []
+        grid = PhaseGrid(L, M)
+        stepper = GridStepper(model, grid)
+        assert stepper._band.size == band
+        rng = np.random.default_rng(14)
+        for damping in (stepper.damping, 0.0):
+            stepper.damping = damping
+            psi = _random_wave(rng, grid, model.atom_dim)
+            ref = _reference_rhs(stepper, 0.37, psi)
+            diff = np.max(np.abs(stepper.rhs(0.37, psi) - ref))
+            assert diff <= 1e-14 * np.max(np.abs(ref)), damping
+
+    def test_rhs_does_not_depend_on_the_previous_call(self, grid64):
+        # the work buffers keep a call's values, off the band too; the next
+        # call's result must not depend on them
+        rng = np.random.default_rng(15)
+        model = two_level_model(g=1.0)
+        psi1, psi2 = _random_wave(rng, grid64, 2), _random_wave(rng, grid64, 2)
+        stepper = GridStepper(model, grid64)
+        stepper.rhs(0.37, psi1)
+        np.testing.assert_array_equal(stepper.rhs(0.37, psi2),
+                                      GridStepper(model, grid64).rhs(0.37, psi2))
+
+    @pytest.mark.parametrize("which", ["two_level", "three_level"])
+    def test_rhs_transform_count(self, which, grid64, request, monkeypatch):
+        # the band at L 5, M 64 is 39 of the 64 indices per axis
+        model = (two_level_model(g=1.0) if which == "two_level"
+                 else request.getfixturevalue("three_level_model"))
+        d, M, band = model.atom_dim, grid64.M, 39
+        lines, two_d = [], []
 
         def counting(transform):
-            def wrapped(x, *args, **kwargs):
-                planes.append(x.size // (x.shape[0] * x.shape[1]))
-                return transform(x, *args, **kwargs)
+            def wrapped(x, *args, axis=-1, **kwargs):
+                lines.append(x.size // x.shape[axis])
+                return transform(x, *args, axis=axis, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(sfft, "fft2", counting(sfft.fft2))
-        monkeypatch.setattr(sfft, "ifft2", counting(sfft.ifft2))
+        monkeypatch.setattr(sfft, "fft", counting(sfft.fft))
+        monkeypatch.setattr(sfft, "ifft", counting(sfft.ifft))
+        monkeypatch.setattr(sfft, "fft2", lambda *args, **kwargs: two_d.append("fft2"))
+        monkeypatch.setattr(sfft, "ifft2", lambda *args, **kwargs: two_d.append("ifft2"))
         stepper = GridStepper(model, grid64)
         psi = _random_wave(np.random.default_rng(13), grid64, d)
         stepper.rhs(0.37, psi)
-        assert sum(planes) == 4 * d
-        planes.clear()
+        assert sorted(lines) == 4 * [band * d] + 4 * [M * d]
+        lines.clear()
         stepper.damping = 0.0
         stepper.rhs(0.37, psi)
-        assert sum(planes) == 2 * d
+        assert sorted(lines) == 2 * [band * d] + 2 * [M * d]
+        assert two_d == []
 
 
 class TestRepresentationMaps:
