@@ -6,10 +6,10 @@ are exact only away from the truncation edge; callers that rely on them
 must keep operator supports a few occupation levels below ``n_max``.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,8 @@ def number_operator(basis: FockBasis) -> np.ndarray:
 
 
 def _log_factorials(n_max: int) -> np.ndarray:
-    """log n! for n = 0 .. n_max (an int: phase-space callers may hold n_max < 2)."""
-    return gammaln(np.arange(n_max + 1) + 1)
+    """log n! for n = 0 .. n_max (an int, possibly below 2), rounded once from the exact n!."""
+    return np.array([math.log(math.factorial(n)) for n in range(n_max + 1)])
 
 
 def coherent_amplitudes(alpha: complex, basis: FockBasis) -> np.ndarray:

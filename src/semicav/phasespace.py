@@ -16,7 +16,6 @@ Conventions, fixed once and used everywhere:
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from semicav.fockspace import (
     CompositeSpace,
@@ -381,9 +380,9 @@ def sharp_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> Op
 def _convolve_with_kernel(values: np.ndarray, grid: PhaseGrid,
                           kernel: GaussianKernel) -> np.ndarray:
     """Circular FFT convolution with the sampled kernel, weight h^2."""
-    kft = sfft.fft2(sfft.ifftshift(kernel.values))
+    kft = np.fft.fft2(np.fft.ifftshift(kernel.values))
     extra = (np.s_[:],) * 2 + (None,) * (values.ndim - 2)
-    return sfft.ifft2(sfft.fft2(values, axes=(0, 1)) * kft[extra], axes=(0, 1)) * grid.weight
+    return np.fft.ifft2(np.fft.fft2(values, axes=(0, 1)) * kft[extra], axes=(0, 1)) * grid.weight
 
 
 def _boundary_mass(values: np.ndarray, grid: PhaseGrid) -> float:

@@ -29,7 +29,6 @@ invariant.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
 
 from semicav.fockspace import CompositeState, FockBasis
 from semicav.phasespace import (
@@ -156,66 +155,67 @@ def initial_wave(psi_ato: np.ndarray, grid_or_basis,
 class GridStepper:
     """Precomputed right-hand side of the grid backend, stepped by ``integrate``.
 
-    ``rhs`` is ``-i(a* ψJᵀ + ½a ψJ†ᵀ + ∂*ψ J†ᵀ) - μ D†Dψ`` with ``D = ∂ + ½a*``
-    and ``D† = -∂* + ½a``. The d×d products commute with the transforms over the
-    node axes, so ``∂*ψ`` and ``μ∂*Dψ`` share one inverse transform: a call does
-    four transforms of d planes (two when ``damping`` is 0). Each runs only on the
-    band of B fftfreq indices per axis with |k| ≤ ``_K_CUT``, off which the symbols,
-    stored at ``(B, B, d)``, vanish: forward, a full 1-D pass along axis 1, then
-    axis 0 over the band columns; inverse, the reverse, with the gap off the band
-    zeroed at every call. The passes run in place on work buffers, and the only
-    grid-sized array a call allocates is the one it returns: ``rk4_step`` keeps it.
+    The iterate is atom-major, ``(d, M, M)``; ``rhs`` is ``-i(a* Jψ + ½a J†ψ + J†∂*ψ)
+    - μ D†Dψ`` with ``D = ∂ + ½a*``, ``D† = -∂* + ½a``. The d×d products commute with the
+    transforms over the node axes, so ``∂*ψ`` and ``μ∂*Dψ`` share one inverse: a call does
+    four transforms of d planes (two when ``damping`` is 0), each only on the band of B
+    fftfreq indices per axis with |k| ≤ ``_K_CUT``: forward, a full pass along the last
+    axis, then the middle one over the band; inverse, the reverse, with the gap zeroed
+    every call. Symbols at ``(B, B)`` and node factors ``½a``, ``½a*`` at ``(M, M)``
+    broadcast over the atom axis. The only grid-sized array a call allocates is its result.
     """
 
     def __init__(self, model: AtomFieldModel, grid: PhaseGrid):
         self.model, self.grid = model, grid
         self.damping = 5.0 * float(np.linalg.norm(model.j, 2))
         M, d = grid.M, model.atom_dim
-
-        def per_node(values):
-            return np.broadcast_to(values[:, :, None], values.shape + (d,)).astype(complex)
-
         nodes = grid.nodes()
-        self._half_a = per_node(0.5 * nodes)
-        self._half_ac = per_node(0.5 * np.conj(nodes))
-        k = 2.0 * np.pi * sfft.fftfreq(M, d=grid.h)
+        self._half_a, self._half_ac = 0.5 * nodes, 0.5 * np.conj(nodes)
+        k = 2.0 * np.pi * np.fft.fftfreq(M, d=grid.h)
         keep = k[:, None] ** 2 + k[None, :] ** 2 <= _K_CUT ** 2
         self._band = band = np.flatnonzero(keep.any(axis=1))
         self._gap = slice(band.size // 2 + 1, M - band.size // 2)
         kx, ky, keep = k[band, None], k[None, band], keep[np.ix_(band, band)]
-        self._s_dastar = per_node(0.5 * (1j * kx - ky) * keep)
-        self._s_da = per_node(0.5 * (1j * kx + ky) * keep)
-        self._f, self._g = (np.empty(self._s_da.shape, dtype=complex) for _ in range(2))
-        self._strip = np.empty((M, band.size, d), dtype=complex)
-        self._v, self._w, self._tmp = (np.empty((M, M, d), dtype=complex) for _ in range(3))
+        self._s_dastar = 0.5 * (1j * kx - ky) * keep
+        self._s_da = 0.5 * (1j * kx + ky) * keep
+        self._f, self._g = (np.empty((d, band.size, band.size), dtype=complex) for _ in range(2))
+        self._strip = np.empty((d, M, band.size), dtype=complex)
+        self._v, self._w, self._tmp = (np.empty((d, M, M), dtype=complex) for _ in range(3))
 
     def _coupling(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Current operator and its adjoint at a stage time (test seam)."""
         jt = rotated_current(self.model, t)
         return jt, jt.conj().T
 
+    def _atoms(self, op: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``op`` on the atom axis of ``x`` into ``out``, by multiply-adds of whole planes."""
+        plane = self._tmp[0, :x.shape[1], :x.shape[2]]         # free outside the Dψ line
+        for j, row in enumerate(op):                           # as one GEMM, two BLAS threads
+            np.multiply(x[0], row[0], out=out[j])
+            for i in range(1, row.size):
+                out[j] += np.multiply(x[i], row[i], out=plane)
+        return out
+
     def _band_fft2(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The band of ``fft2(x)`` over the node axes into ``out``; ``x`` is overwritten."""
-        strip = np.take(sfft.fft(x, axis=1, overwrite_x=True), self._band, axis=1, out=self._strip)
-        return np.take(sfft.fft(strip, axis=0, overwrite_x=True), self._band, axis=0, out=out)
+        strip = np.take(np.fft.fft(x, axis=2, out=x), self._band, axis=2, out=self._strip)
+        return np.take(np.fft.fft(strip, axis=1, out=strip), self._band, axis=1, out=out)
 
     def _band_ifft2(self, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Inverse of ``_band_fft2``: the band spectrum zero-padded to (M, M, d), into ``out``."""
-        self._strip[self._band] = spectrum
-        self._strip[self._gap] = 0.0
-        out[:, self._band] = sfft.ifft(self._strip, axis=0, overwrite_x=True)
-        out[:, self._gap] = 0.0
-        return sfft.ifft(out, axis=1, overwrite_x=True)
+        """Inverse of ``_band_fft2``: the band spectrum zero-padded to (d, M, M), into ``out``."""
+        self._strip[:, self._band] = spectrum
+        self._strip[:, self._gap] = 0.0
+        out[:, :, self._band] = np.fft.ifft(self._strip, axis=1, out=self._strip)
+        out[:, :, self._gap] = 0.0
+        return np.fft.ifft(out, axis=2, out=out)
 
     def rhs(self, t: float, psi: np.ndarray) -> np.ndarray:
         jt, jdt = self._coupling(t)
-        lower = -1j * jdt.T
         np.copyto(self._v, psi)
         f = self._band_fft2(self._v, self._f)
-        g = np.matmul(f, lower, out=self._g)                   # F(-iJ†ᵀ)
-        w = np.matmul(psi, lower, out=self._w)                 # ψ(-iJ†ᵀ)
-        mu = self.damping
-        if mu:
+        g = self._atoms(-1j * jdt, f, self._g)                 # -iJ†F
+        w = self._atoms(-1j * jdt, psi, self._w)               # -iJ†ψ
+        if mu := self.damping:
             f *= self._s_da                                    # F is spent after g
             v = self._band_ifft2(f, self._v)                   # ∂ψ
             v += np.multiply(self._half_ac, psi, out=self._tmp)  # Dψ
@@ -224,7 +224,7 @@ class GridStepper:
             g += self._band_fft2(v, self._f)
         g *= self._s_dastar
         w *= self._half_a
-        out = psi @ (-2j * jt.T)
+        out = self._atoms(-2j * jt, psi, np.empty_like(psi))
         out *= self._half_ac
         out += w
         out += self._band_ifft2(g, self._v)
@@ -232,14 +232,14 @@ class GridStepper:
 
 
 def _grid_guard(wave: SemiclassicalWave, tol: float, check_boundary: bool):
-    """Per-step checks of the grid backend: boundary-mass growth, then unit probability."""
+    """Per-step checks of the grid backend's atom-major iterate: boundary mass, then norm."""
     grid = wave.grid
     initial = previous = _boundary_mass(np.abs(wave.values) ** 2, grid)
 
     def guard(step, t, psi):
         nonlocal previous
         density = np.abs(psi) ** 2
-        mass = _boundary_mass(density, grid)
+        mass = _boundary_mass(np.moveaxis(density, 0, -1), grid)
         if check_boundary and not mass - previous <= 1e-8:
             raise RuntimeError(f"boundary mass grew by {mass - previous} in one step "
                                f"(step {step}, t={t}); grid too small")
@@ -261,10 +261,10 @@ def evolve_swe(model: AtomFieldModel, wave: SemiclassicalWave, tgrid: TimeGrid,
 
     The coefficient backend steps the oracle's coupling map on F^T under the
     checks of ``integrate_coupling``, with ``wave.norm_tol`` as the probability
-    tolerance. For the grid
-    backend the boundary-mass growth, per step and over the run, is held to
-    1e-8 (unless disabled through ``options``), and unit probability is
-    checked after every step. ``options`` apply to a grid wave only.
+    tolerance. The grid backend steps the atom-major transpose of ``values``; its
+    boundary-mass growth, per step and over the run, is held to 1e-8 (unless
+    disabled through ``options``), and unit probability is checked after every
+    step. ``options`` apply to a grid wave only.
     """
     if abs(wave.time - tgrid.t_start) > 1e-12:
         raise ValueError(f"wave time {wave.time} does not match grid start {tgrid.t_start}")
@@ -272,10 +272,11 @@ def evolve_swe(model: AtomFieldModel, wave: SemiclassicalWave, tgrid: TimeGrid,
         options = options or GridOptions()
         tol = wave.norm_tol if options.norm_tol is None else options.norm_tol
         stepper = GridStepper(model, wave.grid)
-        times, ys = integrate(lambda t, psi: rk4_step(stepper.rhs, t, psi, tgrid.dt), wave.values,
-                              tgrid, _grid_guard(wave, tol, options.check_boundary))
-        return [wave] + [SemiclassicalWave("grid", time=t, grid=wave.grid, values=psi,
-                                           norm_tol=tol)
+        times, ys = integrate(lambda t, psi: rk4_step(stepper.rhs, t, psi, tgrid.dt),
+                              wave.values.transpose(2, 0, 1).copy(), tgrid,
+                              _grid_guard(wave, tol, options.check_boundary))
+        return [wave] + [SemiclassicalWave("grid", time=t, grid=wave.grid,
+                                           values=psi.transpose(1, 2, 0).copy(), norm_tol=tol)
                          for t, psi in zip(times[1:], ys[1:])]
     if options is not None:
         raise ValueError("GridOptions apply to grid waves only, not to a coefficient wave")

@@ -524,22 +524,28 @@ class TestMain:
         assert main(["--out", str(out_dir), verb]) == 0
         assert any(out_dir.iterdir())
 
-    def test_verify_leaves_scipy_linalg_unloaded(self, tmp_path):
-        # the exponentials are closed forms on numpy, so a verb loads one BLAS
-        # library: numpy's. A fresh interpreter, because the tests import scipy.linalg.
+    def test_verbs_load_no_scipy(self, tmp_path):
+        # src/ runs on numpy alone. A fresh interpreter, because the tests import
+        # scipy; with sys.modules["scipy"] set to None any import of it raises.
         path = tmp_path / "config.json"
         path.write_text(json.dumps(small_config(tmp_path).to_dict()))
+        verbs = [["verify"], ["rabi"], ["sample"],
+                 *(["phasespace", "--kind", kind] for kind in ("wigner", "husimi", "swe-density")),
+                 ["--backend", "grid", "phasespace", "--kind", "swe-density", "--time", "0.1"],
+                 ["--backend", "grid", "sample", "--time", "0.1"]]
         script = ("import sys\n"
+                  "sys.modules['scipy'] = None\n"
                   "from semicav.cli import main\n"
-                  f"status = main(['--config', {str(path)!r}, 'verify'])\n"
-                  "print(status, sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
+                  f"print([main(['--config', {str(path)!r}, *verb]) for verb in {verbs!r}])\n"
+                  "print(sorted(m for m, module in sys.modules.items()\n"
+                  "             if m.startswith('scipy') and module is not None))\n")
         src = str(Path(semicav.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                                 env=env, cwd=tmp_path, timeout=300)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "0 []"
+        assert result.stdout.splitlines()[-2:] == [str([0] * len(verbs)), "[]"]
 
 
 class TestCsvWriter:
