@@ -37,7 +37,7 @@ from semicav.phasespace import (
     OperatorPhaseField,
     CharacteristicSample,
     SemiclassicalObservable,
-    GaussianKernel,
+    vacuum_kernel,
     characteristic_function,
     superop_characteristic_function,
     wigner,

@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -181,20 +181,6 @@ class ScenarioConfig:
         return vec
 
 
-@dataclass
-class RunReport:
-    """Per-sample-time records plus the expanded config that produced them."""
-
-    config: ScenarioConfig
-    rows: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        times = [row["t"] for row in self.rows]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("report times are not strictly increasing")
-        return {"config": self.config.to_dict(), "rows": self.rows}
-
-
 def _write_csv(path: Path, header_meta: dict, columns: list[str], table: np.ndarray) -> None:
     """The one CSV writer: a ``# key=value`` metadata line, a header, then each
     row of the ``(N, len(columns))`` float table as shortest round-trip floats.
@@ -233,26 +219,26 @@ def _run_swe(config: ScenarioConfig, tgrid: unitary.TimeGrid) -> list[swe.Semicl
     return swe.evolve_swe(config.model, wave0, tgrid)
 
 
-def cmd_rabi(config: ScenarioConfig) -> RunReport:
-    """Run oracle and SWE side by side; emit rabi_timeseries.csv and report.json."""
+def cmd_rabi(config: ScenarioConfig) -> dict:
+    """Run oracle and SWE side by side; emit rabi_timeseries.csv and report.json.
+
+    Returns the report: the expanded config and one row per sample time."""
     grid = config.phase_grid()
     tgrid = config.time_grid()
     trajectory = unitary.evolve_unitary(config.model, _initial_composite(config), tgrid)
     waves = _run_swe(config, tgrid)
-    if len(waves) != len(trajectory.states):
-        raise RuntimeError("oracle and SWE sampling misaligned")
 
     space = config.composite_space()
     number_op = space.field_operator(fockspace.number_operator(space.fock))
     abs_sq = phasespace.SemiclassicalObservable.abs_square()
-    report = RunReport(config=config)
+    report = {"config": config.to_dict(), "rows": []}
     d = config.model.atom_dim
     projectors = [
         phasespace.SemiclassicalObservable.constant(
             1.0, atom_op=np.diag((np.arange(d) == i).astype(complex)))
         for i in range(d)
     ]
-    for t, state, wave in zip(trajectory.times, trajectory.states, waves):
+    for t, state, wave in zip(trajectory.times, trajectory.states, waves, strict=True):
         amp = state.as_matrix()
         populations = [float(np.sum(np.abs(amp[i]) ** 2)) for i in range(d)]
         n_oracle = float(np.real(state.amplitudes.conj() @ (number_op @ state.amplitudes)))
@@ -260,7 +246,7 @@ def cmd_rabi(config: ScenarioConfig) -> RunReport:
         comparison = swe.compare_to_oracle(gwave, state, grid)
         p_swe = [swe.swe_expectation(gwave, proj) for proj in projectors]
         n_swe = swe.swe_expectation(gwave, abs_sq) - 1.0
-        report.rows.append({
+        report["rows"].append({
             "t": float(t),
             "P_atomic_levels_oracle": populations,
             "P_atomic_levels_swe": p_swe,
@@ -278,9 +264,9 @@ def cmd_rabi(config: ScenarioConfig) -> RunReport:
          "linf_husimi"],
         np.array([(row["t"], row["P_atomic_levels_oracle"][0], row["P_atomic_levels_swe"][0],
                    row["n_oracle"], row["n_swe_via_noise_subtraction"],
-                   row["comparison"]["linf"]) for row in report.rows]),
+                   row["comparison"]["linf"]) for row in report["rows"]]),
     )
-    (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     return report
 
 
@@ -404,10 +390,9 @@ def _verify_identities(config: ScenarioConfig) -> list[dict]:
     rho = np.outer(v, v.conj())
 
     # smoothing a sharp density must reproduce the coherent-state diagonal
-    kernel = phasespace.GaussianKernel.vacuum(grid)
     direct = phasespace.husimi_density(rho, space, grid)
     sharp = phasespace.sharp_density(rho, space, grid)
-    smoothed = phasespace._convolve_with_kernel(sharp.values, grid, kernel)
+    smoothed = phasespace._convolve_with_kernel(sharp.values, grid)
     record("husimi_two_routes", float(np.max(np.abs(smoothed - direct.values))),
            5.0 * grid.tol)
 
@@ -422,8 +407,7 @@ def _verify_identities(config: ScenarioConfig) -> list[dict]:
         (j, k), = poly.keys()
         ps_side = phasespace.phase_space_moment(sharp, j, k)
         worst_sharp = max(worst_sharp, abs(op_side - ps_side))
-        coarse_obs = obs.coarse_grained()
-        op_coarse = phasespace.symmetric_moment_oracle(coarse_obs, rho, basis)
+        op_coarse = phasespace.symmetric_moment_oracle(phasespace.coarse_grain(obs), rho, basis)
         ps_coarse = phasespace.phase_space_moment(direct, j, k)
         worst_coarse = max(worst_coarse, abs(op_coarse - ps_coarse))
     record("sharp_moment_identity", worst_sharp, 1e-5)
@@ -458,7 +442,7 @@ def _verify_identities(config: ScenarioConfig) -> list[dict]:
     # quadrature expectation against the coarse-grained operator route
     abs_sq = phasespace.SemiclassicalObservable.abs_square()
     op_value = phasespace.symmetric_moment_oracle(
-        abs_sq.coarse_grained(), unitary.density_operator(state), basis)
+        phasespace.coarse_grain(abs_sq), unitary.density_operator(state), basis)
     record("swe_expectation_match",
            abs(swe.swe_expectation(gwave, abs_sq) - float(np.real(op_value))), 1e-5)
 
@@ -516,7 +500,7 @@ def main(argv=None) -> int:
         parser.error(f"--time {args.time:g} is not a non-negative multiple of dt {config.dt:g}")
     if args.verb == "verify":
         try:  # the kernel depends on the grid alone; the checks of the other verbs need a state
-            phasespace.GaussianKernel.vacuum(config.phase_grid())
+            phasespace.vacuum_kernel(config.phase_grid())
         except ValueError as err:
             parser.error(f"grid L {config.L:g}, M {config.M} is too coarse: {err}")
     oracle = args.verb in ("rabi", "verify") or getattr(args, "kind", None) in ("wigner", "husimi")
@@ -533,7 +517,7 @@ def main(argv=None) -> int:
             parser.error(f"t_end {config.t_end:g} in time is not a multiple of dt {config.dt:g}")
         report = cmd_rabi(config)
         print(f"wrote {Path(config.output_dir) / 'rabi_timeseries.csv'} "
-              f"({len(report.rows)} samples)")
+              f"({len(report['rows'])} samples)")
         return 0
     if args.verb == "phasespace":
         path = cmd_phasespace(config, args.time, args.kind)

@@ -14,6 +14,7 @@ Conventions, fixed once and used everywhere:
 """
 
 from dataclasses import dataclass
+from math import comb, factorial
 
 import numpy as np
 
@@ -153,25 +154,19 @@ class CharacteristicSample:
     value: complex
 
 
-@dataclass
-class GaussianKernel:
-    """Vacuum-noise smoothing kernel (2/pi) exp(-2|a|^2) sampled on a grid."""
+def vacuum_kernel(grid: PhaseGrid) -> np.ndarray:
+    """Vacuum-noise smoothing kernel (2/pi) exp(-2|a|^2) at the nodes of ``grid``.
 
-    grid: PhaseGrid
-    values: np.ndarray
-
-    @classmethod
-    def vacuum(cls, grid: PhaseGrid):
-        """Sample the kernel; refuse a grid on which its integral or second moment is off."""
-        r2 = np.abs(grid.nodes()) ** 2
-        values = (2.0 / np.pi) * np.exp(-2.0 * r2)
-        total = np.sum(values) * grid.weight
-        if abs(total - 1.0) > grid.tol:
-            raise ValueError(f"kernel integral {total} deviates from 1")
-        second = np.sum(r2 * values) * grid.weight
-        if abs(second - 0.5) > grid.tol:
-            raise ValueError(f"kernel second moment {second} deviates from 1/2")
-        return cls(grid, values)
+    Refuses a grid on which its integral or second moment is off."""
+    r2 = np.abs(grid.nodes()) ** 2
+    values = (2.0 / np.pi) * np.exp(-2.0 * r2)
+    total = np.sum(values) * grid.weight
+    if abs(total - 1.0) > grid.tol:
+        raise ValueError(f"kernel integral {total} deviates from 1")
+    second = np.sum(r2 * values) * grid.weight
+    if abs(second - 0.5) > grid.tol:
+        raise ValueError(f"kernel second moment {second} deviates from 1/2")
+    return values
 
 
 @dataclass
@@ -180,7 +175,8 @@ class SemiclassicalObservable:
 
     ``poly`` maps exponent pairs (j, k) to coefficients of a^j (a*)^k. The
     atomic operator factor multiplies the scalar polynomial, so that purely
-    atomic observables are the special case of a constant polynomial.
+    atomic observables are the special case of a constant polynomial;
+    ``swe_expectation`` reads it, ``symmetric_moment_oracle`` refuses it.
     """
 
     poly: dict[tuple[int, int], complex]
@@ -202,33 +198,15 @@ class SemiclassicalObservable:
     def abs_square(cls):
         return cls.from_poly({(1, 1): 1.0})
 
-    def evaluate(self, a: np.ndarray) -> np.ndarray:
+    def values_on(self, grid: PhaseGrid) -> np.ndarray:
+        a = grid.nodes()
         out = np.zeros_like(a, dtype=complex)
         for (j, k), c in self.poly.items():
             out += c * np.power(a, j) * np.power(np.conj(a), k)
         return out
 
-    def values_on(self, grid: PhaseGrid) -> np.ndarray:
-        return self.evaluate(grid.nodes())
-
     def degree(self) -> int:
         return max((j + k for j, k in self.poly), default=0)
-
-    def coarse_grained(self):
-        """Average the polynomial form over vacuum noise.
-
-        Cross-moments <a0^p a0*^q> of the kernel vanish except for p = q,
-        where they equal p! / 2^p; the result is again a polynomial.
-        """
-        from math import comb, factorial
-
-        out: dict[tuple[int, int], complex] = {}
-        for (j, k), c in self.poly.items():
-            for p in range(min(j, k) + 1):
-                moment = factorial(p) * 0.5 ** p
-                key = (j - p, k - p)
-                out[key] = out.get(key, 0.0) + c * comb(j, p) * comb(k, p) * moment
-        return SemiclassicalObservable.from_poly(out, atom_op=self.atom_op)
 
 
 def characteristic_function(rho_field: np.ndarray, lam: complex) -> CharacteristicSample:
@@ -377,10 +355,9 @@ def sharp_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> Op
     return OperatorPhaseField(grid, values, kind="sharp")
 
 
-def _convolve_with_kernel(values: np.ndarray, grid: PhaseGrid,
-                          kernel: GaussianKernel) -> np.ndarray:
-    """Circular FFT convolution with the sampled kernel, weight h^2."""
-    kft = np.fft.fft2(np.fft.ifftshift(kernel.values))
+def _convolve_with_kernel(values: np.ndarray, grid: PhaseGrid) -> np.ndarray:
+    """Circular FFT convolution with the vacuum kernel sampled on ``grid``, weight h^2."""
+    kft = np.fft.fft2(np.fft.ifftshift(vacuum_kernel(grid)))
     extra = (np.s_[:],) * 2 + (None,) * (values.ndim - 2)
     return np.fft.ifft2(np.fft.fft2(values, axes=(0, 1)) * kft[extra], axes=(0, 1)) * grid.weight
 
@@ -398,15 +375,23 @@ def coarse_grain(f):
     the vacuum kernel sampled on their grid, assuming the field is negligible
     at the grid boundary (periodic wrap-around). Polynomial observables are
     smoothed exactly through the kernel moments instead, since polynomials do
-    not decay and a periodic convolution would corrupt them.
+    not decay and a periodic convolution would corrupt them: the kernel's
+    cross-moments <a0^p a0*^q> vanish except for p = q, where they equal
+    p! / 2^p, so the result is again a polynomial.
     """
     if isinstance(f, SemiclassicalObservable):
-        return f.coarse_grained()
+        out: dict[tuple[int, int], complex] = {}
+        for (j, k), c in f.poly.items():
+            for p in range(min(j, k) + 1):
+                moment = factorial(p) * 0.5 ** p
+                key = (j - p, k - p)
+                out[key] = out.get(key, 0.0) + c * comb(j, p) * comb(k, p) * moment
+        return SemiclassicalObservable.from_poly(out, atom_op=f.atom_op)
     grid = f.grid
     bmass = _boundary_mass(f.values, grid)
     if bmass > 1e-8:
         raise ValueError(f"boundary mass {bmass} too large for periodic convolution")
-    smoothed = _convolve_with_kernel(f.values, grid, GaussianKernel.vacuum(grid))
+    smoothed = _convolve_with_kernel(f.values, grid)
     if isinstance(f, PhaseFunction):
         kind = "husimi" if f.kind == "wigner" else "generic"
         vals = smoothed.real if kind == "husimi" else smoothed
@@ -500,9 +485,12 @@ def symmetric_moment_oracle(poly: SemiclassicalObservable, rho: np.ndarray,
     symmetric product with the annihilation operator and k with the
     creation operator (order immaterial, the two superoperators commute up
     to truncation). ``rho`` may be a field operator or a composite one; in
-    the composite case the ladder operators act on the field factor and an
-    atomic factor of the observable multiplies before the trace.
+    the composite case the ladder operators act on the field factor. An
+    observable with an atomic factor is refused.
     """
+    if poly.atom_op is not None:
+        raise ValueError("symmetric_moment_oracle takes the polynomial alone; "
+                         "the observable has an atomic factor (atom_op)")
     deg = poly.degree()
     if deg > 4:
         raise ValueError(f"total degree {deg} exceeds the supported maximum of 4")
@@ -515,11 +503,6 @@ def symmetric_moment_oracle(poly: SemiclassicalObservable, rho: np.ndarray,
     if blocks > 1:
         a = np.kron(np.eye(blocks, dtype=complex), a)
     ad = a.conj().T
-    atom = None
-    if poly.atom_op is not None:
-        if poly.atom_op.shape[0] != blocks:
-            raise ValueError("atomic factor does not match the composite structure")
-        atom = np.kron(poly.atom_op, np.eye(dim, dtype=complex))
     total = 0.0 + 0.0j
     for (j, k), c in poly.poly.items():
         X = rho
@@ -527,7 +510,5 @@ def symmetric_moment_oracle(poly: SemiclassicalObservable, rho: np.ndarray,
             X = symmetric_product(a, X)
         for _ in range(k):
             X = symmetric_product(ad, X)
-        if atom is not None:
-            X = atom @ X
         total += c * np.trace(X)
     return complex(total)

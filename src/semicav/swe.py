@@ -245,8 +245,8 @@ def _grid_guard(wave: SemiclassicalWave, tol: float, check_boundary: bool):
                                f"(step {step}, t={t}); grid too small")
         total = float(np.sum(density) * grid.weight)
         if not abs(total - 1.0) <= tol:
-            raise ValueError(f"total probability {total} deviates from 1 beyond {tol} "
-                             f"at step {step}, t={t}")
+            raise RuntimeError(f"total probability {total} deviates from 1 beyond {tol} "
+                               f"at step {step}, t={t}")
         if check_boundary and not mass - initial <= 1e-8:
             raise RuntimeError(f"boundary mass grew from {initial} to {mass} by step {step}, "
                                f"t={t}; grid too small")
@@ -392,7 +392,7 @@ def compare_to_oracle(wave: SemiclassicalWave, state: CompositeState,
     diff = swe_field - oracle_field.values
     linf = float(np.max(np.abs(diff)))
     l2 = float(np.sqrt(np.sum(np.abs(diff) ** 2) * grid.weight))
-    swe_op = OperatorPhaseField(grid, swe_field, kind="sharp")
+    swe_op = OperatorPhaseField(grid, swe_field, kind="husimi")
     moments = {}
     for name, (j, k) in _MOMENT_POWERS.items():
         m_swe = phase_space_moment(swe_op, j, k)

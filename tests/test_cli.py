@@ -22,9 +22,8 @@ from semicav.cli import (
     read_field_csv,
 )
 import semicav
-from semicav import swe, unitary
+from semicav import fockspace, phasespace, swe, unitary
 from semicav.cli import _write_csv
-from semicav.phasespace import GaussianKernel
 from semicav.unitary import AtomFieldModel
 
 
@@ -183,11 +182,12 @@ class TestJsonFloats:
                                                            config.sample_seed)
 
     def test_17_digit_round_trip(self, tmp_path):
-        # every float of report.json loads back bit-equal to the report it came from
+        # cmd_rabi returns what it writes: every float of report.json loads back
+        # bit-equal to the returned report
         config = small_config(tmp_path)
         report = cmd_rabi(config)
         payload = json.loads((Path(config.output_dir) / "report.json").read_text())
-        assert payload == report.to_dict()
+        assert payload == report
 
 
 class TestRabiCommand:
@@ -197,7 +197,7 @@ class TestRabiCommand:
         header, columns, rows = read_csv(Path(config.output_dir) / "rabi_timeseries.csv")
         assert "backend=bargmann" in header
         assert columns[0] == "t" and "P_e_oracle" in columns
-        assert len(rows) == len(report.rows) == 6
+        assert len(rows) == len(report["rows"]) == 6
         for row in rows:
             t = float(row[0])
             assert float(row[1]) == pytest.approx(np.cos(t) ** 2, abs=1e-8)
@@ -296,6 +296,23 @@ class TestSampleCommand:
             assert float(row[2]) == pytest.approx(1.0, abs=1e-12)
             assert float(row[5]) == pytest.approx(0.0, abs=1e-12)
 
+    def test_conditional_states_average_to_reduced_atomic_state(self, tmp_path):
+        # the conditional states read back from the CSV average, E[c c+], to the
+        # oracle's Tr_field rho at the sample time, entry by entry within 5 standard errors
+        config = replace(small_config(tmp_path), sample_count=20000, sample_seed=1)
+        table = np.loadtxt(cmd_sample(config, 0.5), delimiter=",", skiprows=2)
+        c = table[:, 2:].view(complex)
+        space = config.composite_space()
+        initial = unitary.product_initial_state(config.initial_atom(),
+                                                np.eye(space.fock.dim)[0], space)
+        state = unitary.evolve_unitary(config.model, initial, config.time_grid()).states[-1]
+        rho_atom = fockspace.partial_trace_field(unitary.density_operator(state), space)
+        outer = c[:, :, None] * c[:, None, :].conj()
+        se = outer.std(axis=0, ddof=1) / np.sqrt(len(c))  # sqrt(E|x - Ex|^2 / N) per entry
+        deviation = np.abs(outer.mean(axis=0) - rho_atom)
+        assert np.all(deviation <= 5.0 * se), (deviation, se)
+        assert 0.2 < rho_atom[1, 1].real < 0.3  # sin^2(0.5): the atom has moved
+
 
 class TestVerifyCommand:
     # L 6, M 32 is coarse, but the state fits: no check may refuse it
@@ -325,9 +342,9 @@ class TestVerifyCommand:
             # unvalidated kernel with 1.2 times the vacuum noise amplitude
             s2 = 1.2 ** 2
             r2 = np.abs(grid.nodes()) ** 2
-            return GaussianKernel(grid, (2.0 / (np.pi * s2)) * np.exp(-2.0 * r2 / s2))
+            return (2.0 / (np.pi * s2)) * np.exp(-2.0 * r2 / s2)
 
-        monkeypatch.setattr(GaussianKernel, "vacuum", staticmethod(too_wide))
+        monkeypatch.setattr(phasespace, "vacuum_kernel", too_wide)
         config = small_config(tmp_path, fock={"n_max": 8})
         status, report = cmd_verify(config)
         assert status == 1

@@ -17,7 +17,6 @@ from semicav.fockspace import (
 )
 from semicav.phasespace import (
     CharacteristicSample,
-    GaussianKernel,
     OperatorPhaseField,
     PhaseFunction,
     PhaseGrid,
@@ -31,6 +30,7 @@ from semicav.phasespace import (
     sharp_density,
     superop_characteristic_function,
     symmetric_moment_oracle,
+    vacuum_kernel,
     wigner,
 )
 
@@ -292,12 +292,12 @@ class TestCoarseGrain:
             coarse_grain(OperatorPhaseField(default_grid, values, kind="sharp"))
 
     def test_kernel_invariants(self, default_grid):
-        kernel = GaussianKernel.vacuum(default_grid)
+        kernel = vacuum_kernel(default_grid)
         r2 = np.abs(default_grid.nodes()) ** 2
-        assert np.sum(kernel.values) * default_grid.weight == pytest.approx(1.0, abs=1e-4)
-        assert np.sum(r2 * kernel.values) * default_grid.weight == pytest.approx(0.5, abs=1e-4)
+        assert np.sum(kernel) * default_grid.weight == pytest.approx(1.0, abs=1e-4)
+        assert np.sum(r2 * kernel) * default_grid.weight == pytest.approx(0.5, abs=1e-4)
         with pytest.raises(ValueError, match="kernel integral"):
-            GaussianKernel.vacuum(PhaseGrid(0.5, 32))
+            vacuum_kernel(PhaseGrid(0.5, 32))
 
 
 class TestHusimi:
@@ -458,6 +458,16 @@ class TestMomentOracle:
         assert SemiclassicalObservable.from_poly({(2, 2): 1.0}).degree() == 4
         with pytest.raises(TypeError):
             SemiclassicalObservable()
+
+    def test_refuses_an_atomic_factor(self):
+        # the operator side takes the polynomial alone; an observable with an
+        # atomic factor is refused, coarse-grained or not
+        basis = FockBasis(4)
+        rho = np.kron(np.diag([1.0, 0.0]), fock_density(0, 4))
+        proj_e = SemiclassicalObservable.constant(1.0, atom_op=np.diag([1.0, 0.0]))
+        for obs in (proj_e, coarse_grain(proj_e)):
+            with pytest.raises(ValueError, match=r"atomic factor \(atom_op\)"):
+                symmetric_moment_oracle(obs, rho, basis)
 
     def test_sharp_equivalence_on_random_states(self, default_grid):
         # operator substitution against quadrature over the sharp density

@@ -5,7 +5,7 @@ import pytest
 import scipy.fft as sfft
 from scipy.linalg import expm
 
-from semicav.fockspace import CompositeSpace, FockBasis, coherent_amplitudes
+from semicav.fockspace import CompositeSpace, FockBasis, coherent_amplitudes, partial_trace_field
 from semicav.phasespace import PhaseGrid, SemiclassicalObservable
 from semicav import swe
 from semicav.swe import (
@@ -24,6 +24,7 @@ from semicav.swe import (
 from semicav.unitary import (
     AtomFieldModel,
     TimeGrid,
+    density_operator,
     evolve_unitary,
     integrate,
     product_initial_state,
@@ -140,7 +141,7 @@ class TestInitialWave:
         nan = np.full_like(_atom_major(wave.values), np.nan)  # the guard reads the iterate
         with pytest.raises(RuntimeError, match=r"boundary mass grew by nan .*step 3, t=0\.5\)"):
             swe._grid_guard(wave, wave.norm_tol, True)(3, 0.5, nan)
-        with pytest.raises(ValueError, match=r"total probability nan .* at step 3, t=0\.5"):
+        with pytest.raises(RuntimeError, match=r"total probability nan .* at step 3, t=0\.5"):
             swe._grid_guard(wave, wave.norm_tol, False)(3, 0.5, nan)
 
 
@@ -295,7 +296,7 @@ class TestGridStepper:
 
     def test_probability_guard_names_step_and_time(self, grid64):
         wave = initial_wave(EXCITED, grid64)
-        with pytest.raises(ValueError, match=r"total probability .* at step 1, t=0\.001"):
+        with pytest.raises(RuntimeError, match=r"total probability .* at step 1, t=0\.001"):
             evolve_swe(two_level_model(g=1.0), wave, TimeGrid(0.0, 0.1, 1e-3),
                        GridOptions(norm_tol=0.0))
 
@@ -568,6 +569,28 @@ class TestSampling:
         samples = sample_field(wave, 3, seed=0)
         np.testing.assert_array_equal(samples.a, np.full(3, grid64.nodes()[1, 1]))
         np.testing.assert_array_equal(samples.conditional_state, np.tile(EXCITED, (3, 1)))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("setup", ["readme", "three-level"])
+    def test_conditional_states_average_to_reduced_atomic_state(self, request, setup, seed):
+        # the stochastic claim: the conditional states c drawn with the field average,
+        # E[c c+], to the oracle's Tr_field rho, each complex entry within 5 standard
+        # errors sqrt(E|x - Ex|^2 / N) of its mean
+        if setup == "readme":
+            model, psi_ato, basis = two_level_model(g=1.0), EXCITED, FockBasis(8)
+            grid, tgrid = PhaseGrid(5.0, 128), TimeGrid(0.0, 0.785, 1e-3, 785)
+        else:
+            model, psi_ato = request.getfixturevalue("three_level_model"), [0.6, 0.8j, 0.0]
+            basis, grid, tgrid = FockBasis(10), PhaseGrid(6.0, 128), TimeGrid(0.0, 1.0, 2e-3, 500)
+        space = CompositeSpace(model.atom_dim, basis)
+        initial = product_initial_state(psi_ato, np.eye(basis.dim)[0], space)
+        state = evolve_unitary(model, initial, tgrid).states[-1]
+        rho_atom = partial_trace_field(density_operator(state), space)
+        wave = evolve_swe(model, initial_wave(psi_ato, basis), tgrid)[-1]
+        c = sample_field(evaluate_on_grid(wave, grid), 100000, seed).conditional_state
+        outer = c[:, :, None] * c[:, None, :].conj()
+        se = outer.std(axis=0, ddof=1) / np.sqrt(len(c))
+        assert np.all(np.abs(outer.mean(axis=0) - rho_atom) <= 5.0 * se)
 
     def test_node_frequencies_match_density(self):
         grid = PhaseGrid(5.0, 32)
