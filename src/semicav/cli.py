@@ -11,7 +11,6 @@ the matrices actually used. Verbs:
 """
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -73,10 +72,10 @@ class ScenarioConfig:
     t_end: float
     dt: float
     sample_stride: int
-    swe_backend: str = "bargmann"
-    sample_count: int | None = None
-    sample_seed: int | None = None
-    output_dir: str = "semicav_out"
+    swe_backend: str
+    sample_count: int
+    sample_seed: int
+    output_dir: str
 
     def __post_init__(self):
         if self.swe_backend not in ("bargmann", "grid"):
@@ -86,9 +85,9 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.sample_stride < 1:
             raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
-        if self.sample_count is not None and self.sample_count < 1:
+        if self.sample_count < 1:
             raise ValueError(f"sampling count must be >= 1, got {self.sample_count}")
-        if self.sample_seed is not None and self.sample_seed < 0:
+        if self.sample_seed < 0:
             raise ValueError(f"sampling seed must be >= 0, got {self.sample_seed}")
         # their constructors refuse n_max < 2 and M not a power of two >= 32
         self.fock_basis()
@@ -133,8 +132,8 @@ class ScenarioConfig:
             dt=_read(time, "time", "dt", float),
             sample_stride=_read(time, "time", "sample_stride", int, 1),
             swe_backend=_read(doc, "top level", "swe_backend", str, "bargmann"),
-            sample_count=_read(sampling, "sampling", "count", int) if "count" in sampling else None,
-            sample_seed=_read(sampling, "sampling", "seed", int) if "seed" in sampling else None,
+            sample_count=_read(sampling, "sampling", "count", int, 10000),
+            sample_seed=_read(sampling, "sampling", "seed", int, 0),
             output_dir=_read(doc, "top level", "output_dir", str, "semicav_out"),
         )
 
@@ -144,7 +143,7 @@ class ScenarioConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "model": {
                 "atom_dim": self.model.atom_dim,
                 "h_ato": _matrix_to_json(self.model.h_ato),
@@ -156,12 +155,8 @@ class ScenarioConfig:
             "time": {"t_end": self.t_end, "dt": self.dt, "sample_stride": self.sample_stride},
             "swe_backend": self.swe_backend,
             "output_dir": self.output_dir,
+            "sampling": {"count": self.sample_count, "seed": self.sample_seed},
         }
-        sampling = {"count": self.sample_count, "seed": self.sample_seed}
-        sampling = {key: value for key, value in sampling.items() if value is not None}
-        if sampling:
-            doc["sampling"] = sampling
-        return doc
 
     def fock_basis(self) -> fockspace.FockBasis:
         return fockspace.FockBasis(self.n_max)
@@ -174,11 +169,6 @@ class ScenarioConfig:
 
     def time_grid(self) -> unitary.TimeGrid:
         return unitary.TimeGrid(0.0, self.t_end, self.dt, self.sample_stride)
-
-    def initial_atom(self) -> np.ndarray:
-        vec = np.zeros(self.model.atom_dim, dtype=complex)
-        vec[0] = 1.0
-        return vec
 
 
 def _write_csv(path: Path, header_meta: dict, columns: list[str], table: np.ndarray) -> None:
@@ -203,20 +193,19 @@ def _grid_table(grid: phasespace.PhaseGrid, values: np.ndarray) -> np.ndarray:
     return np.column_stack((a.real, a.imag, values.reshape(a.size, -1)))
 
 
-def _initial_composite(config: ScenarioConfig) -> unitary.CompositeState:
+def _oracle(config: ScenarioConfig, tgrid: unitary.TimeGrid) -> unitary.Trajectory:
+    """The oracle run from the start state of both pictures: atom in level 0, field in vacuum."""
     space = config.composite_space()
-    vac = np.zeros(space.fock.dim, dtype=complex)
-    vac[0] = 1.0
-    return unitary.product_initial_state(config.initial_atom(), vac, space)
+    level0, vacuum = np.eye(space.atom_dim)[0], np.eye(space.fock.dim)[0]
+    return unitary.evolve_unitary(config.model,
+                                  unitary.product_initial_state(level0, vacuum, space), tgrid)
 
 
-def _run_swe(config: ScenarioConfig, tgrid: unitary.TimeGrid) -> list[swe.SemiclassicalWave]:
-    psi_ato = config.initial_atom()
-    if config.swe_backend == "bargmann":
-        wave0 = swe.initial_wave(psi_ato, config.fock_basis())
-    else:
-        wave0 = swe.initial_wave(psi_ato, config.phase_grid())
-    return swe.evolve_swe(config.model, wave0, tgrid)
+def _swe(config: ScenarioConfig, tgrid: unitary.TimeGrid) -> list[swe.SemiclassicalWave]:
+    """The SWE run on the config's backend from the start state of ``_oracle``."""
+    where = config.fock_basis() if config.swe_backend == "bargmann" else config.phase_grid()
+    return swe.evolve_swe(config.model,
+                          swe.initial_wave(np.eye(config.model.atom_dim)[0], where), tgrid)
 
 
 def cmd_rabi(config: ScenarioConfig) -> dict:
@@ -225,8 +214,8 @@ def cmd_rabi(config: ScenarioConfig) -> dict:
     Returns the report: the expanded config and one row per sample time."""
     grid = config.phase_grid()
     tgrid = config.time_grid()
-    trajectory = unitary.evolve_unitary(config.model, _initial_composite(config), tgrid)
-    waves = _run_swe(config, tgrid)
+    trajectory = _oracle(config, tgrid)
+    waves = _swe(config, tgrid)
 
     space = config.composite_space()
     number_op = space.field_operator(fockspace.number_operator(space.fock))
@@ -286,13 +275,11 @@ def read_field_csv(path) -> tuple[dict, np.ndarray]:
                 meta[key] = int(raw) if raw.lstrip("-").isdigit() else float(raw)
             except ValueError:
                 meta[key] = raw
-        reader = csv.reader(fh)
-        columns = next(reader)
-        data = np.array([[float(v) for v in row[2:]] for row in reader])
-    if len(columns) != 3:
-        raise ValueError("unexpected column layout for a scalar field")
+        if len(fh.readline().split(",")) != 3:
+            raise ValueError("unexpected column layout for a scalar field")
+        values = np.loadtxt(fh, delimiter=",", usecols=2)
     M = int(meta["M"])
-    return meta, data[:, 0].reshape(M, M)
+    return meta, values.reshape(M, M)
 
 
 def _time_grid_to(config: ScenarioConfig, t: float) -> unitary.TimeGrid:
@@ -309,10 +296,10 @@ def cmd_phasespace(config: ScenarioConfig, t: float, kind: str) -> Path:
     tgrid = _time_grid_to(config, t)
     meta = {"kind": kind, "L": config.L, "M": config.M, "time": t, "n_max": config.n_max}
     if kind == "swe-density":
-        wave = swe.evaluate_on_grid(_run_swe(config, tgrid)[-1], grid)
+        wave = swe.evaluate_on_grid(_swe(config, tgrid)[-1], grid)
         column, values = "density", swe.field_density(wave).values
     else:
-        state = unitary.evolve_unitary(config.model, _initial_composite(config), tgrid).states[-1]
+        state = _oracle(config, tgrid).states[-1]
         rho_field = fockspace.partial_trace_atom(unitary.density_operator(state), space)
         if kind == "wigner":
             column, values = "value", phasespace.wigner(rho_field, grid).values
@@ -325,17 +312,14 @@ def cmd_phasespace(config: ScenarioConfig, t: float, kind: str) -> Path:
 
 def cmd_sample(config: ScenarioConfig, t: float) -> Path:
     """Draw classical field samples at time ``t`` and write them as CSV."""
-    count = config.sample_count or 10000
-    seed = config.sample_seed or 0
-    wave = swe.evaluate_on_grid(_run_swe(config, _time_grid_to(config, t))[-1],
-                                config.phase_grid())
-    samples = swe.sample_field(wave, count, seed)
+    wave = swe.evaluate_on_grid(_swe(config, _time_grid_to(config, t))[-1], config.phase_grid())
+    samples = swe.sample_field(wave, config.sample_count, config.sample_seed)
     path = Path(config.output_dir) / f"samples_t{t:g}.csv"
     state_cols = [f"{part}_psi{i}" for i in range(wave.atom_dim) for part in ("re", "im")]
     table = np.column_stack((samples.a.real, samples.a.imag,
                              samples.conditional_state.view(float)))
-    _write_csv(path, {"kind": "samples", "time": t, "count": count, "seed": seed,
-                      "L": config.L, "M": config.M},
+    _write_csv(path, {"kind": "samples", "time": t, "count": config.sample_count,
+                      "seed": config.sample_seed, "L": config.L, "M": config.M},
                ["a_re", "a_im", *state_cols], table)
     return path
 
@@ -430,8 +414,8 @@ def _verify_identities(config: ScenarioConfig) -> list[dict]:
     quarter = np.pi / 4.0
     n_steps = max(1, int(round(quarter / config.dt)))
     tgrid = _time_grid_to(config, n_steps * config.dt)
-    state = unitary.evolve_unitary(config.model, _initial_composite(config), tgrid).states[-1]
-    gwave = swe.evaluate_on_grid(_run_swe(config, tgrid)[-1], grid)
+    state = _oracle(config, tgrid).states[-1]
+    gwave = swe.evaluate_on_grid(_swe(config, tgrid)[-1], grid)
     comparison = swe.compare_to_oracle(gwave, state, grid)
     swe_threshold = 1e-7 if config.swe_backend == "bargmann" else 1e-3 * comparison.oracle_max
     record("swe_density_equivalence", comparison.linf, swe_threshold)

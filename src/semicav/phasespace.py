@@ -177,14 +177,22 @@ class SemiclassicalObservable:
     atomic operator factor multiplies the scalar polynomial, so that purely
     atomic observables are the special case of a constant polynomial;
     ``swe_expectation`` reads it, ``symmetric_moment_oracle`` refuses it.
+    Exponents must be non-negative integers and ``atom_op`` a square matrix.
     """
 
     poly: dict[tuple[int, int], complex]
     atom_op: np.ndarray | None = None
 
     def __post_init__(self):
+        for key in self.poly:
+            pair = isinstance(key, tuple) and len(key) == 2
+            if not pair or not all(isinstance(e, int | np.integer) and e >= 0 for e in key):
+                raise ValueError(f"exponents must be pairs of non-negative integers, got {key!r}")
         if self.atom_op is not None:
             self.atom_op = np.asarray(self.atom_op, dtype=complex)
+            if self.atom_op.ndim != 2 or self.atom_op.shape[0] != self.atom_op.shape[1]:
+                raise ValueError(f"atom_op must be a square matrix, got shape "
+                                 f"{self.atom_op.shape}")
 
     @classmethod
     def from_poly(cls, poly: dict[tuple[int, int], complex], atom_op: np.ndarray | None = None):

@@ -313,8 +313,15 @@ def field_density(wave: SemiclassicalWave) -> PhaseFunction:
 
 
 def swe_expectation(wave: SemiclassicalWave, F: SemiclassicalObservable) -> float:
-    """Quadrature of psi+ F(a, a*) psi over the grid."""
+    """Quadrature of psi+ F(a, a*) psi over the grid, for a Hermitian ``F`` only: the
+    result is real when c_jk = conj(c_kj) and ``atom_op`` is Hermitian, both within 1e-12."""
     _require_grid(wave, "swe_expectation")
+    if any(abs(c - np.conj(F.poly.get((k, j), 0.0))) > 1e-12 for (j, k), c in F.poly.items()):
+        raise ValueError(f"swe_expectation needs a Hermitian observable; the polynomial "
+                         f"{F.poly} has c_jk != conj(c_kj)")
+    if F.atom_op is not None and np.max(np.abs(F.atom_op - F.atom_op.conj().T)) > 1e-12:
+        raise ValueError("swe_expectation needs a Hermitian observable; atom_op is not "
+                         "Hermitian within 1e-12")
     sym = F.values_on(wave.grid)
     if F.atom_op is None:
         dens = np.sum(np.abs(wave.values) ** 2, axis=2)
@@ -352,8 +359,9 @@ def sample_field(wave: SemiclassicalWave, count: int, seed: int) -> np.recarray:
 class ComparisonReport:
     """Node-wise and moment-level comparison of a wave against the oracle.
 
-    ``oracle_max`` is the largest node value of the oracle's density, the
-    scale of ``linf``; it is not part of the JSON form.
+    ``moments`` holds each moment's ``swe`` and ``oracle`` values as ``{"re", "im"}``
+    float pairs and their ``delta``, as written. ``oracle_max`` is the largest node
+    value of the oracle's density, the scale of ``linf``; it is not in the JSON form.
     """
 
     linf: float
@@ -362,18 +370,7 @@ class ComparisonReport:
     oracle_max: float
 
     def to_json_dict(self) -> dict:
-        def enc(z: complex) -> dict:
-            return {"re": float(np.real(z)), "im": float(np.imag(z))}
-
-        return {
-            "linf": self.linf,
-            "l2": self.l2,
-            "moments": {
-                name: {"swe": enc(m["swe"]), "oracle": enc(m["oracle"]),
-                       "delta": float(m["delta"])}
-                for name, m in self.moments.items()
-            },
-        }
+        return {"linf": self.linf, "l2": self.l2, "moments": self.moments}
 
 
 _MOMENT_POWERS = {"1": (0, 0), "a": (1, 0), "a*": (0, 1), "|a|^2": (1, 1)}
@@ -397,6 +394,8 @@ def compare_to_oracle(wave: SemiclassicalWave, state: CompositeState,
     for name, (j, k) in _MOMENT_POWERS.items():
         m_swe = phase_space_moment(swe_op, j, k)
         m_orc = phase_space_moment(oracle_field, j, k)
-        moments[name] = {"swe": m_swe, "oracle": m_orc, "delta": abs(m_swe - m_orc)}
+        moments[name] = {"swe": {"re": m_swe.real, "im": m_swe.imag},
+                         "oracle": {"re": m_orc.real, "im": m_orc.imag},
+                         "delta": abs(m_swe - m_orc)}
     return ComparisonReport(linf=linf, l2=l2, moments=moments,
                             oracle_max=float(np.max(np.abs(oracle_field.values))))

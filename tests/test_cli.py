@@ -60,8 +60,8 @@ def scenario_configs(draw):
         dt=draw(st.floats(1e-6, 1.0)),
         sample_stride=draw(st.integers(1, 10 ** 6)),
         swe_backend=draw(st.sampled_from(["bargmann", "grid"])),
-        sample_count=draw(st.none() | st.integers(1, 10 ** 6)),
-        sample_seed=draw(st.none() | st.integers(0, 2 ** 32 - 1)),
+        sample_count=draw(st.integers(1, 10 ** 6)),
+        sample_seed=draw(st.integers(0, 2 ** 32 - 1)),
         output_dir=draw(st.text(min_size=1, max_size=20)),
     )
 
@@ -162,6 +162,17 @@ class TestConfig:
         assert len(docs) == 4
         for doc in docs:
             ScenarioConfig.from_dict(doc)
+
+    def test_missing_sampling_loads_as_the_defaults(self, tmp_path):
+        # from_dict is the one source of the defaults, and to_dict records them
+        doc = small_config(tmp_path).to_dict()
+        del doc["sampling"]
+        config = ScenarioConfig.from_dict(doc)
+        assert (config.sample_count, config.sample_seed) == (10000, 0)
+        again = config.to_dict()
+        assert list(again)[-1] == "sampling"
+        assert again["sampling"] == {"count": 10000, "seed": 0}
+        assert ScenarioConfig.from_dict(again).to_dict() == again
 
     def test_from_file(self, tmp_path):
         config = small_config(tmp_path)
@@ -296,6 +307,14 @@ class TestSampleCommand:
             assert float(row[2]) == pytest.approx(1.0, abs=1e-12)
             assert float(row[5]) == pytest.approx(0.0, abs=1e-12)
 
+    def test_config_without_sampling_draws_what_it_records(self, tmp_path):
+        doc = small_config(tmp_path).to_dict()
+        del doc["sampling"]
+        config = ScenarioConfig.from_dict(doc)
+        header, _, rows = read_csv(cmd_sample(config, 0.0))
+        assert len(rows) == config.sample_count == 10000
+        assert config.sample_seed == 0 and " count=10000 seed=0 " in header
+
     def test_conditional_states_average_to_reduced_atomic_state(self, tmp_path):
         # the conditional states read back from the CSV average, E[c c+], to the
         # oracle's Tr_field rho at the sample time, entry by entry within 5 standard errors
@@ -303,7 +322,7 @@ class TestSampleCommand:
         table = np.loadtxt(cmd_sample(config, 0.5), delimiter=",", skiprows=2)
         c = table[:, 2:].view(complex)
         space = config.composite_space()
-        initial = unitary.product_initial_state(config.initial_atom(),
+        initial = unitary.product_initial_state(np.eye(space.atom_dim)[0],
                                                 np.eye(space.fock.dim)[0], space)
         state = unitary.evolve_unitary(config.model, initial, config.time_grid()).states[-1]
         rho_atom = fockspace.partial_trace_field(unitary.density_operator(state), space)

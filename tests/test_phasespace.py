@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -522,3 +524,23 @@ class TestObservableType:
         grid = PhaseGrid(5.0, 32)
         obs = SemiclassicalObservable.from_poly({(1, 0): 1.0})
         np.testing.assert_allclose(obs.values_on(grid), grid.nodes())
+
+    @pytest.mark.parametrize("poly", [{(-1, 0): 1.0}, {(0.5, 1): 1.0}, {(1.0, 0): 1.0},
+                                      {(1,): 1.0}, {1: 1.0}],
+                             ids=["negative", "fractional", "float", "single", "bare"])
+    def test_refuses_exponents_that_are_not_non_negative_integers(self, poly):
+        # an a^-1 term would read as tr rho in symmetric_moment_oracle, vanish in
+        # coarse_grain and be NaN at a = 0 in values_on, so construction refuses it
+        valid = SemiclassicalObservable.abs_square()
+        for build in (SemiclassicalObservable, SemiclassicalObservable.from_poly,
+                      lambda p: replace(valid, poly=p)):
+            with pytest.raises(ValueError, match="pairs of non-negative integers"):
+                build(poly)
+
+    @pytest.mark.parametrize("atom_op", [np.ones(2), np.ones((2, 3)), np.ones((1, 2, 2))],
+                             ids=["vector", "rectangular", "stacked"])
+    def test_refuses_an_atom_op_that_is_not_a_square_matrix(self, atom_op):
+        for build in (lambda op: SemiclassicalObservable.constant(1.0, atom_op=op),
+                      lambda op: SemiclassicalObservable({(1, 1): 1.0}, atom_op=op)):
+            with pytest.raises(ValueError, match="square matrix"):
+                build(atom_op)

@@ -6,7 +6,7 @@ import scipy.fft as sfft
 from scipy.linalg import expm
 
 from semicav.fockspace import CompositeSpace, FockBasis, coherent_amplitudes, partial_trace_field
-from semicav.phasespace import PhaseGrid, SemiclassicalObservable
+from semicav.phasespace import PhaseGrid, SemiclassicalObservable, phase_space_moment
 from semicav import swe
 from semicav.swe import (
     _K_CUT,
@@ -514,6 +514,29 @@ class TestExpectations:
         abs_sq = SemiclassicalObservable.abs_square()
         assert swe_expectation(gwave, abs_sq) == pytest.approx(
             np.sin(t_end) ** 2 + 1.0, abs=1e-6)
+
+    def test_refuses_a_non_hermitian_observable(self, grid64):
+        # swe_expectation returns a real number, so <a> of this wave would read about
+        # 1 where phase_space_moment gives 1+1j, and sigma_+ would read 0
+        alpha = 1.0 + 1.0j
+        envelope = np.exp(-0.5 * np.abs(grid64.nodes() - alpha) ** 2) / np.sqrt(np.pi)
+        wave = SemiclassicalWave("grid", time=0.0, grid=grid64,
+                                 values=envelope[:, :, None] * EXCITED)
+        mean = phase_space_moment(field_density(wave), 1, 0)
+        assert mean == pytest.approx(alpha, abs=1e-6)
+        for poly in ({(1, 0): 1.0}, {(1, 1): 1.0j}, {(1, 0): 0.5, (0, 1): 0.4}):
+            with pytest.raises(ValueError, match="c_jk != conj"):
+                swe_expectation(wave, SemiclassicalObservable.from_poly(poly))
+        sigma_plus = SemiclassicalObservable.constant(1.0, atom_op=[[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="atom_op is not Hermitian"):
+            swe_expectation(wave, sigma_plus)
+        # the Hermitian parts of the same observables are read
+        re_a = SemiclassicalObservable.from_poly({(1, 0): 0.5, (0, 1): 0.5})
+        im_a = SemiclassicalObservable.from_poly({(1, 0): -0.5j, (0, 1): 0.5j})
+        assert swe_expectation(wave, re_a) == pytest.approx(mean.real, abs=1e-12)
+        assert swe_expectation(wave, im_a) == pytest.approx(mean.imag, abs=1e-12)
+        sigma_x = SemiclassicalObservable.constant(1.0, atom_op=[[0.0, 1.0], [1.0, 0.0]])
+        assert swe_expectation(wave, sigma_x) == 0.0
 
 
 class TestSampling:
