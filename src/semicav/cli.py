@@ -21,13 +21,11 @@ import numpy as np
 from semicav import fockspace, phasespace, swe, unitary
 
 _DEFAULT_CONFIG = {
-    "model": {"preset": "two-level", "g": 1.0, "detuning": 0.0, "omega": 1.0},
+    "model": {"preset": "two-level", "g": 1.0},
     "fock": {"n_max": 8},
     "grid": {"L": 5.0, "M": 128},
     "time": {"t_end": 6.284, "dt": 1e-3, "sample_stride": 1571},
-    "swe_backend": "bargmann",
     "sampling": {"count": 100000, "seed": 20210527},
-    "output_dir": "semicav_out",
 }
 
 
@@ -63,12 +61,11 @@ def _read(part: dict, section: str, key: str, kind: type, default=None):
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario description; the model is always explicit matrices."""
+    """Validated scenario description: explicit model matrices, Fock basis and grid."""
 
     model: unitary.AtomFieldModel
-    n_max: int
-    L: float
-    M: int
+    fock: fockspace.FockBasis
+    grid: phasespace.PhaseGrid
     t_end: float
     dt: float
     sample_stride: int
@@ -80,7 +77,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.swe_backend not in ("bargmann", "grid"):
             raise ValueError(f"unknown backend {self.swe_backend!r}")
-        for name in ("t_end", "dt", "L"):
+        for name in ("t_end", "dt"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.sample_stride < 1:
@@ -89,9 +86,6 @@ class ScenarioConfig:
             raise ValueError(f"sampling count must be >= 1, got {self.sample_count}")
         if self.sample_seed < 0:
             raise ValueError(f"sampling seed must be >= 0, got {self.sample_seed}")
-        # their constructors refuse n_max < 2 and M not a power of two >= 32
-        self.fock_basis()
-        self.phase_grid()
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
@@ -125,9 +119,9 @@ class ScenarioConfig:
             )
         return cls(
             model=model,
-            n_max=_read(fock, "fock", "n_max", int),
-            L=_read(grid, "grid", "L", float),
-            M=_read(grid, "grid", "M", int),
+            fock=fockspace.FockBasis(_read(fock, "fock", "n_max", int)),
+            grid=phasespace.PhaseGrid(_read(grid, "grid", "L", float),
+                                      _read(grid, "grid", "M", int)),
             t_end=_read(time, "time", "t_end", float),
             dt=_read(time, "time", "dt", float),
             sample_stride=_read(time, "time", "sample_stride", int, 1),
@@ -150,22 +144,16 @@ class ScenarioConfig:
                 "j": _matrix_to_json(self.model.j),
                 "omega": self.model.omega,
             },
-            "fock": {"n_max": self.n_max},
-            "grid": {"L": self.L, "M": self.M},
+            "fock": {"n_max": self.fock.n_max},
+            "grid": {"L": self.grid.L, "M": self.grid.M},
             "time": {"t_end": self.t_end, "dt": self.dt, "sample_stride": self.sample_stride},
             "swe_backend": self.swe_backend,
             "output_dir": self.output_dir,
             "sampling": {"count": self.sample_count, "seed": self.sample_seed},
         }
 
-    def fock_basis(self) -> fockspace.FockBasis:
-        return fockspace.FockBasis(self.n_max)
-
-    def phase_grid(self) -> phasespace.PhaseGrid:
-        return phasespace.PhaseGrid(self.L, self.M)
-
     def composite_space(self) -> fockspace.CompositeSpace:
-        return fockspace.CompositeSpace(self.model.atom_dim, self.fock_basis())
+        return fockspace.CompositeSpace(self.model.atom_dim, self.fock)
 
     def time_grid(self) -> unitary.TimeGrid:
         return unitary.TimeGrid(0.0, self.t_end, self.dt, self.sample_stride)
@@ -203,7 +191,7 @@ def _oracle(config: ScenarioConfig, tgrid: unitary.TimeGrid) -> unitary.Trajecto
 
 def _swe(config: ScenarioConfig, tgrid: unitary.TimeGrid) -> list[swe.SemiclassicalWave]:
     """The SWE run on the config's backend from the start state of ``_oracle``."""
-    where = config.fock_basis() if config.swe_backend == "bargmann" else config.phase_grid()
+    where = config.fock if config.swe_backend == "bargmann" else config.grid
     return swe.evolve_swe(config.model,
                           swe.initial_wave(np.eye(config.model.atom_dim)[0], where), tgrid)
 
@@ -212,7 +200,7 @@ def cmd_rabi(config: ScenarioConfig) -> dict:
     """Run oracle and SWE side by side; emit rabi_timeseries.csv and report.json.
 
     Returns the report: the expanded config and one row per sample time."""
-    grid = config.phase_grid()
+    grid = config.grid
     tgrid = config.time_grid()
     trajectory = _oracle(config, tgrid)
     waves = _swe(config, tgrid)
@@ -247,7 +235,7 @@ def cmd_rabi(config: ScenarioConfig) -> dict:
     out = Path(config.output_dir)
     _write_csv(
         out / "rabi_timeseries.csv",
-        {"scenario": "rabi", "L": config.L, "M": config.M, "n_max": config.n_max,
+        {"scenario": "rabi", "L": grid.L, "M": grid.M, "n_max": config.fock.n_max,
          "backend": config.swe_backend},
         ["t", "P_e_oracle", "P_e_swe", "n_oracle", "n_swe_via_noise_subtraction",
          "linf_husimi"],
@@ -291,10 +279,10 @@ def cmd_phasespace(config: ScenarioConfig, t: float, kind: str) -> Path:
     """Evolve to time ``t`` and dump the requested field as CSV."""
     if kind not in ("wigner", "husimi", "swe-density"):
         raise ValueError(f"unknown field kind {kind!r}")
-    grid = config.phase_grid()
+    grid = config.grid
     space = config.composite_space()
     tgrid = _time_grid_to(config, t)
-    meta = {"kind": kind, "L": config.L, "M": config.M, "time": t, "n_max": config.n_max}
+    meta = {"kind": kind, "L": grid.L, "M": grid.M, "time": t, "n_max": config.fock.n_max}
     if kind == "swe-density":
         wave = swe.evaluate_on_grid(_swe(config, tgrid)[-1], grid)
         column, values = "density", swe.field_density(wave).values
@@ -312,14 +300,14 @@ def cmd_phasespace(config: ScenarioConfig, t: float, kind: str) -> Path:
 
 def cmd_sample(config: ScenarioConfig, t: float) -> Path:
     """Draw classical field samples at time ``t`` and write them as CSV."""
-    wave = swe.evaluate_on_grid(_swe(config, _time_grid_to(config, t))[-1], config.phase_grid())
+    wave = swe.evaluate_on_grid(_swe(config, _time_grid_to(config, t))[-1], config.grid)
     samples = swe.sample_field(wave, config.sample_count, config.sample_seed)
     path = Path(config.output_dir) / f"samples_t{t:g}.csv"
     state_cols = [f"{part}_psi{i}" for i in range(wave.atom_dim) for part in ("re", "im")]
     table = np.column_stack((samples.a.real, samples.a.imag,
                              samples.conditional_state.view(float)))
     _write_csv(path, {"kind": "samples", "time": t, "count": config.sample_count,
-                      "seed": config.sample_seed, "L": config.L, "M": config.M},
+                      "seed": config.sample_seed, "L": config.grid.L, "M": config.grid.M},
                ["a_re", "a_im", *state_cols], table)
     return path
 
@@ -328,7 +316,7 @@ def _verify_identities(config: ScenarioConfig) -> list[dict]:
     """Measured error and threshold for each cross-picture identity."""
     rng = np.random.default_rng(11)
     space = config.composite_space()
-    grid = config.phase_grid()
+    grid = config.grid
     checks: list[dict] = []
 
     def record(name: str, error: float, threshold: float) -> None:
@@ -336,7 +324,7 @@ def _verify_identities(config: ScenarioConfig) -> list[dict]:
                        "pass": bool(error <= threshold)})
 
     # ladder superoperators commute on operators supported below the edge
-    basis = config.fock_basis()
+    basis = config.fock
     a = fockspace.annihilation(basis)
     ad = a.conj().T
     worst = 0.0
@@ -420,8 +408,7 @@ def _verify_identities(config: ScenarioConfig) -> list[dict]:
     swe_threshold = 1e-7 if config.swe_backend == "bargmann" else 1e-3 * comparison.oracle_max
     record("swe_density_equivalence", comparison.linf, swe_threshold)
 
-    record("total_probability", abs(gwave.total_probability() - 1.0),
-           max(1e-9, grid.tol) if config.swe_backend == "grid" else grid.tol)
+    record("total_probability", abs(gwave.total_probability() - 1.0), grid.tol)
 
     # quadrature expectation against the coarse-grained operator route
     abs_sq = phasespace.SemiclassicalObservable.abs_square()
@@ -484,9 +471,9 @@ def main(argv=None) -> int:
         parser.error(f"--time {args.time:g} is not a non-negative multiple of dt {config.dt:g}")
     if args.verb == "verify":
         try:  # the kernel depends on the grid alone; the checks of the other verbs need a state
-            phasespace.vacuum_kernel(config.phase_grid())
+            phasespace.vacuum_kernel(config.grid)
         except ValueError as err:
-            parser.error(f"grid L {config.L:g}, M {config.M} is too coarse: {err}")
+            parser.error(f"grid L {config.grid.L:g}, M {config.grid.M} is too coarse: {err}")
     oracle = args.verb in ("rabi", "verify") or getattr(args, "kind", None) in ("wigner", "husimi")
     if oracle or config.swe_backend == "bargmann":  # the runs that reach integrate_coupling
         try:

@@ -7,7 +7,7 @@ must keep operator supports a few occupation levels below ``n_max``.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -51,15 +51,15 @@ class CompositeSpace:
 class CompositeState:
     """Normalized pure state of the atom+mode system.
 
-    ``norm_tol`` loosens the unit-norm check for states produced by long
-    integrations, where round-off drift above 1e-12 is legitimate.
+    ``norm_tol`` loosens the unit-norm check at construction, for states produced by
+    long integrations, where round-off drift above 1e-12 is legitimate; it is not stored.
     """
 
     space: CompositeSpace
     amplitudes: np.ndarray
-    norm_tol: float = field(default=1e-12, repr=False)
+    norm_tol: InitVar[float] = 1e-12
 
-    def __post_init__(self):
+    def __post_init__(self, norm_tol):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.shape != (self.space.total_dim,):
             raise ValueError(
@@ -67,8 +67,8 @@ class CompositeState:
                 f"expected ({self.space.total_dim},)"
             )
         nrm = np.linalg.norm(self.amplitudes)
-        if not abs(nrm - 1.0) <= self.norm_tol:
-            raise ValueError(f"state norm {nrm} deviates from 1 by more than {self.norm_tol}")
+        if not abs(nrm - 1.0) <= norm_tol:
+            raise ValueError(f"state norm {nrm} deviates from 1 by more than {norm_tol}")
 
     def as_matrix(self) -> np.ndarray:
         """Amplitudes reshaped to (atom_dim, fock_dim)."""

@@ -26,7 +26,7 @@ norm of the current operator, which the interaction-picture rotation leaves
 invariant.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from semicav.phasespace import (
     husimi_density,
     phase_space_moment,
 )
-from semicav.unitary import (AtomFieldModel, TimeGrid, density_operator, integrate,
+from semicav.unitary import (NORM_TOL, AtomFieldModel, TimeGrid, density_operator, integrate,
                              integrate_coupling, rk4_step, rotated_current)
 
 _K_CUT = 12.0  # radial low-pass of the spectral derivative, see the module docstring
@@ -66,9 +66,9 @@ class SemiclassicalWave:
     """Wave in either representation; total probability must be one.
 
     Grid variant: ``values`` has shape (M, M, d) over ``grid``. Bargmann
-    variant: ``coeffs`` has shape (n_max + 1, d) over ``basis``. The unit
-    total probability check and the steppers' guards use ``norm_tol``, by
-    default the grid tolerance (grid variant) or 1e-10 (coefficient variant).
+    variant: ``coeffs`` has shape (n_max + 1, d) over ``basis``. The construction
+    check of unit total probability uses ``norm_tol``, by default the grid
+    tolerance (grid variant) or 1e-10 (coefficient variant); it is not stored.
     """
 
     representation: str
@@ -77,9 +77,9 @@ class SemiclassicalWave:
     values: np.ndarray | None = None
     basis: FockBasis | None = None
     coeffs: np.ndarray | None = None
-    norm_tol: float | None = field(default=None, repr=False)
+    norm_tol: InitVar[float | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, norm_tol):
         if self.representation == "grid":
             if self.grid is None or self.values is None:
                 raise ValueError("grid representation requires grid and values")
@@ -87,19 +87,19 @@ class SemiclassicalWave:
             M = self.grid.M
             if self.values.ndim != 3 or self.values.shape[:2] != (M, M):
                 raise ValueError("values must have shape (M, M, d)")
-            self.norm_tol = self.grid.tol if self.norm_tol is None else self.norm_tol
+            norm_tol = self.grid.tol if norm_tol is None else norm_tol
         elif self.representation == "bargmann":
             if self.basis is None or self.coeffs is None:
                 raise ValueError("bargmann representation requires basis and coeffs")
             self.coeffs = np.asarray(self.coeffs, dtype=complex)
             if self.coeffs.ndim != 2 or self.coeffs.shape[0] != self.basis.dim:
                 raise ValueError("coeffs must have shape (n_max + 1, d)")
-            self.norm_tol = 1e-10 if self.norm_tol is None else self.norm_tol
+            norm_tol = 1e-10 if norm_tol is None else norm_tol
         else:
             raise ValueError(f"unknown representation {self.representation!r}")
         total = self.total_probability()
-        if not abs(total - 1.0) <= self.norm_tol:
-            raise ValueError(f"total probability {total} deviates from 1 beyond {self.norm_tol}")
+        if not abs(total - 1.0) <= norm_tol:
+            raise ValueError(f"total probability {total} deviates from 1 beyond {norm_tol}")
 
     @property
     def atom_dim(self) -> int:
@@ -118,8 +118,8 @@ class GridOptions:
     """Guards of the grid backend.
 
     ``check_boundary`` enforces the boundary-mass growth guard; disable it
-    only for deliberate under-resolution studies. ``norm_tol`` loosens the
-    unit-probability invariant of produced waves in the same situations.
+    only for deliberate under-resolution studies. ``norm_tol``, by default the
+    grid's ``tol``, is the run's unit-probability tolerance.
     """
 
     check_boundary: bool = True
@@ -131,8 +131,8 @@ def initial_wave(psi_ato: np.ndarray, grid_or_basis,
     """Atom in ``psi_ato``, cavity in vacuum: psi0(a) = psi_ato e^{-|a|^2/2}/sqrt(pi).
 
     In the coefficient representation this is F_0 = psi_ato, all higher
-    coefficients zero. ``norm_tol`` loosens the unit-probability check for
-    deliberately under-resolved grids.
+    coefficients zero. ``norm_tol`` loosens the construction check of unit
+    probability for deliberately under-resolved grids; a run does not inherit it.
     """
     psi_ato = np.asarray(psi_ato, dtype=complex)
     if not abs(np.linalg.norm(psi_ato) - 1.0) <= 1e-12:
@@ -260,17 +260,17 @@ def evolve_swe(model: AtomFieldModel, wave: SemiclassicalWave, tgrid: TimeGrid,
     """Drive either backend over a TimeGrid, sampling every ``sample_stride`` steps.
 
     The coefficient backend steps the oracle's coupling map on F^T under the
-    checks of ``integrate_coupling``, with ``wave.norm_tol`` as the probability
-    tolerance. The grid backend steps the atom-major transpose of ``values``; its
-    boundary-mass growth, per step and over the run, is held to 1e-8 (unless
-    disabled through ``options``), and unit probability is checked after every
-    step. ``options`` apply to a grid wave only.
+    checks of ``integrate_coupling``. The grid backend steps the atom-major
+    transpose of ``values``; its boundary-mass growth, per step and over the run,
+    is held to 1e-8 (unless disabled through ``options``), and unit probability
+    to ``options.norm_tol``, or else ``grid.tol``, after every step. ``options``
+    apply to a grid wave only.
     """
     if abs(wave.time - tgrid.t_start) > 1e-12:
         raise ValueError(f"wave time {wave.time} does not match grid start {tgrid.t_start}")
     if wave.representation == "grid":
         options = options or GridOptions()
-        tol = wave.norm_tol if options.norm_tol is None else options.norm_tol
+        tol = wave.grid.tol if options.norm_tol is None else options.norm_tol
         stepper = GridStepper(model, wave.grid)
         times, ys = integrate(lambda t, psi: rk4_step(stepper.rhs, t, psi, tgrid.dt),
                               wave.values.transpose(2, 0, 1).copy(), tgrid,
@@ -280,10 +280,9 @@ def evolve_swe(model: AtomFieldModel, wave: SemiclassicalWave, tgrid: TimeGrid,
                          for t, psi in zip(times[1:], ys[1:])]
     if options is not None:
         raise ValueError("GridOptions apply to grid waves only, not to a coefficient wave")
-    times, ys = integrate_coupling(model, wave.coeffs.T, tgrid, wave.norm_tol)
+    times, ys = integrate_coupling(model, wave.coeffs.T, tgrid)
     return [wave] + [SemiclassicalWave("bargmann", time=t, basis=wave.basis, coeffs=Y.T,
-                                       norm_tol=wave.norm_tol)
-                     for t, Y in zip(times[1:], ys[1:])]
+                                       norm_tol=NORM_TOL) for t, Y in zip(times[1:], ys[1:])]
 
 
 def evaluate_on_grid(wave: SemiclassicalWave, grid: PhaseGrid) -> SemiclassicalWave:
@@ -296,8 +295,7 @@ def evaluate_on_grid(wave: SemiclassicalWave, grid: PhaseGrid) -> SemiclassicalW
         return wave
     B = np.conj(_coherent_overlap_matrix(grid.nodes(), wave.basis.n_max)) / np.sqrt(np.pi)
     values = np.einsum("xyn,nd->xyd", B, wave.coeffs)
-    return SemiclassicalWave("grid", time=wave.time, grid=grid, values=values,
-                             norm_tol=max(grid.tol, wave.norm_tol))
+    return SemiclassicalWave("grid", time=wave.time, grid=grid, values=values)
 
 
 def _require_grid(wave: SemiclassicalWave, what: str) -> None:

@@ -53,9 +53,8 @@ def scenario_configs(draw):
     return ScenarioConfig(
         model=AtomFieldModel(d, h_ato=A + A.conj().T, j=j,
                              omega=draw(st.floats(0.0, 1e3, allow_nan=False))),
-        n_max=draw(st.integers(2, 40)),
-        L=draw(st.floats(0.1, 20.0)),
-        M=2 ** draw(st.integers(5, 9)),
+        fock=fockspace.FockBasis(draw(st.integers(2, 40))),
+        grid=phasespace.PhaseGrid(draw(st.floats(0.1, 20.0)), 2 ** draw(st.integers(5, 9))),
         t_end=draw(st.floats(1e-3, 1e3)),
         dt=draw(st.floats(1e-6, 1.0)),
         sample_stride=draw(st.integers(1, 10 ** 6)),
@@ -221,6 +220,16 @@ class TestRabiCommand:
         assert times == sorted(times)
         assert payload["config"]["model"]["atom_dim"] == 2
 
+    def test_runs_at_the_preflight_limit(self, tmp_path):
+        # dt ||H_I|| = 0.0495 passes the 0.05 refusal; both pictures then hold the run
+        # to one probability tolerance, so the SWE finishes where the oracle does
+        doc = {"model": {"preset": "two-level", "g": 1.0}, "fock": {"n_max": 8},
+               "grid": {"L": 5.0, "M": 128},
+               "time": {"t_end": 6.3, "dt": 0.0175, "sample_stride": 360}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out"), "rabi"]) == 0
+
     def test_deterministic_report(self, tmp_path):
         config = small_config(tmp_path)
         cmd_rabi(config)
@@ -376,7 +385,7 @@ class TestFieldSerialization:
         # each kind the phasespace verb writes reloads node for node; at t = 0
         # the field is the vacuum Gaussian of its kind
         config = small_config(tmp_path)
-        x = config.phase_grid().axis()
+        x = config.grid.axis()
         r2 = x[:, None] ** 2 + x[None, :] ** 2
         closed_forms = {"husimi": np.exp(-r2) / np.pi, "swe-density": np.exp(-r2) / np.pi,
                         "wigner": 2.0 / np.pi * np.exp(-2.0 * r2)}

@@ -5,7 +5,8 @@ import pytest
 import scipy.fft as sfft
 from scipy.linalg import expm
 
-from semicav.fockspace import CompositeSpace, FockBasis, coherent_amplitudes, partial_trace_field
+from semicav.fockspace import (CompositeSpace, CompositeState, FockBasis, coherent_amplitudes,
+                               partial_trace_field)
 from semicav.phasespace import PhaseGrid, SemiclassicalObservable, phase_space_moment
 from semicav import swe
 from semicav.swe import (
@@ -140,9 +141,9 @@ class TestInitialWave:
         wave = initial_wave(EXCITED, grid64)
         nan = np.full_like(_atom_major(wave.values), np.nan)  # the guard reads the iterate
         with pytest.raises(RuntimeError, match=r"boundary mass grew by nan .*step 3, t=0\.5\)"):
-            swe._grid_guard(wave, wave.norm_tol, True)(3, 0.5, nan)
+            swe._grid_guard(wave, grid64.tol, True)(3, 0.5, nan)
         with pytest.raises(RuntimeError, match=r"total probability nan .* at step 3, t=0\.5"):
-            swe._grid_guard(wave, wave.norm_tol, False)(3, 0.5, nan)
+            swe._grid_guard(wave, grid64.tol, False)(3, 0.5, nan)
 
 
 class TestZeroSteps:
@@ -203,11 +204,12 @@ class TestBargmannStepper:
         assert abs(wave.total_probability() - 1.0) <= 1e-9
 
     def test_probability_guard_names_step_and_time(self):
-        # with no tolerance the RK4 norm defect of the first step is caught
-        wave = SemiclassicalWave("bargmann", time=0.0, basis=FockBasis(6),
-                                 coeffs=initial_wave(EXCITED, FockBasis(6)).coeffs, norm_tol=0.0)
-        with pytest.raises(RuntimeError, match=r"total probability .* beyond 0\.0 at step 1, "
-                                                r"t=0\.01;"):
+        # a start 2e-5 off unit probability, admitted at construction, is refused by the
+        # run's own tolerance after the first step, as the oracle's is
+        wave = SemiclassicalWave("bargmann", time=0.0, basis=FockBasis(6), norm_tol=1e-4,
+                                 coeffs=initial_wave(EXCITED, FockBasis(6)).coeffs * (1 + 1e-5))
+        with pytest.raises(RuntimeError, match=r"total probability 1\.00002.* beyond 1e-06 "
+                                                r"at step 1, t=0\.01;"):
             evolve_swe(two_level_model(g=1.0), wave, TimeGrid(0.0, 1.0, 1e-2))
 
     @pytest.mark.parametrize("options", [GridOptions(), GridOptions(norm_tol=0.0)])
@@ -217,18 +219,24 @@ class TestBargmannStepper:
             evolve_swe(two_level_model(g=1.0), wave, TimeGrid(0.0, 1e-2, 1e-3), options)
 
     def test_matches_oracle_on_three_levels(self, three_level_model):
-        # the coefficient backend steps the oracle's coupling map on F = Y^T
-        model = three_level_model
-        basis = FockBasis(10)
-        psi_ato = np.array([1.0, 0.0, 0.0], dtype=complex)
-        vac = np.zeros(basis.dim, dtype=complex)
-        vac[0] = 1.0
-        tgrid = TimeGrid(0.0, 1.0, 1e-3, 250)
-        psi0 = product_initial_state(psi_ato, vac, CompositeSpace(3, basis))
-        states = evolve_unitary(model, psi0, tgrid).states
-        waves = evolve_swe(model, initial_wave(psi_ato, basis), tgrid)
-        for state, wave in zip(states, waves):
-            np.testing.assert_allclose(wave.coeffs.T, state.as_matrix(), atol=1e-14)
+        # the coefficient backend steps the oracle's coupling map on F = Y^T under the same
+        # checks: from the vacuum, and from the random start on two Fock levels of
+        # test_step_map_matches_stepwise_rk4, whose total probability drifts by 3e-10
+        vacuum = np.zeros((3, 11), dtype=complex)
+        vacuum[0, 0] = 1.0
+        rng = np.random.default_rng(17)
+        low = np.zeros((3, 13), dtype=complex)
+        low[:, :2] = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        for Y0, tgrid in ((vacuum, TimeGrid(0.0, 1.0, 1e-3, 250)),
+                          (low / np.linalg.norm(low), TimeGrid(0.0, 2.4, 0.01, 60))):
+            basis = FockBasis(Y0.shape[1] - 1)
+            psi0 = CompositeState(CompositeSpace(3, basis), Y0.ravel())
+            states = evolve_unitary(three_level_model, psi0, tgrid).states
+            waves = evolve_swe(three_level_model, SemiclassicalWave(
+                "bargmann", time=0.0, basis=basis, coeffs=Y0.T), tgrid)
+            assert len(waves) == len(states) == 5
+            for state, wave in zip(states, waves):
+                np.testing.assert_allclose(wave.coeffs.T, state.as_matrix(), atol=1e-14)
 
 
 class TestGridStepper:
@@ -299,6 +307,16 @@ class TestGridStepper:
         with pytest.raises(RuntimeError, match=r"total probability .* at step 1, t=0\.001"):
             evolve_swe(two_level_model(g=1.0), wave, TimeGrid(0.0, 0.1, 1e-3),
                        GridOptions(norm_tol=0.0))
+
+    def test_probability_guard_ignores_the_start_tolerance(self):
+        # norm_tol=1.0 admits the start at construction only: the run holds total
+        # probability to grid.tol, 4e-4 here, which the start's 0.99914 misses
+        grid = PhaseGrid(2.5, 32)
+        wave = initial_wave(EXCITED, grid, norm_tol=1.0)
+        with pytest.raises(RuntimeError, match=r"total probability 0\.9991.* beyond 0\.0004 "
+                                                r"at step 1, t=0\.001$"):
+            evolve_swe(two_level_model(g=1.0), wave, TimeGrid(0.0, 0.01, 1e-3),
+                       GridOptions(check_boundary=False))
 
     def test_spectral_matches_analytic_wave(self, grid64):
         model = two_level_model(g=1.0)

@@ -256,7 +256,7 @@ class TestCouplingOde:
         Y0[:, :2] = rng.normal(size=(shape[0], 2)) + 1j * rng.normal(size=(shape[0], 2))
         Y0 /= np.linalg.norm(Y0)
         tgrid = TimeGrid(0.3, 2.7, 0.01, 60)
-        times, ys = unitary.integrate_coupling(model, Y0, tgrid, 1e-6)
+        times, ys = unitary.integrate_coupling(model, Y0, tgrid)
         expected = stepwise_rk4(model, space, Y0, tgrid)
         np.testing.assert_array_equal(times, [0.3 + n * 0.01 for n in range(0, 241, 60)])
         np.testing.assert_array_equal(ys[0], Y0)
