@@ -7,7 +7,7 @@ must keep operator supports a few occupation levels below ``n_max``.
 """
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,17 +49,19 @@ class CompositeSpace:
 
 @dataclass
 class CompositeState:
-    """Normalized pure state of the atom+mode system.
+    """Normalized pure state of the atom+mode system; also the SWE's coefficient wave.
 
-    ``norm_tol`` loosens the unit-norm check at construction, for states produced by
-    long integrations, where round-off drift above 1e-12 is legitimate; it is not stored.
+    ``norm_tol``, by default 1e-12, loosens the unit-norm check at construction for states
+    of long integrations, whose round-off drift is legitimate. It is kept as given, so that
+    ``dataclasses.replace`` repeats that check; no run reads it.
     """
 
     space: CompositeSpace
     amplitudes: np.ndarray
-    norm_tol: InitVar[float] = 1e-12
+    norm_tol: float | None = field(default=None, kw_only=True, repr=False, compare=False)
 
-    def __post_init__(self, norm_tol):
+    def __post_init__(self):
+        norm_tol = 1e-12 if self.norm_tol is None else self.norm_tol
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.shape != (self.space.total_dim,):
             raise ValueError(
@@ -73,6 +75,11 @@ class CompositeState:
     def as_matrix(self) -> np.ndarray:
         """Amplitudes reshaped to (atom_dim, fock_dim)."""
         return self.amplitudes.reshape(self.space.atom_dim, self.space.fock.dim)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """SWE coefficients F = Y^T, a view shaped (fock_dim, atom_dim): row n is F_n."""
+        return self.as_matrix().T
 
 
 def annihilation(basis: FockBasis) -> np.ndarray:

@@ -410,11 +410,11 @@ def coarse_grain(f):
     raise TypeError(f"cannot coarse-grain {type(f).__name__}")
 
 
-def _coherent_overlap_matrix(a: np.ndarray, n_max: int) -> np.ndarray:
-    """C[..., n] = <n|a> = exp(-|a|^2/2) a^n / sqrt(n!) at every point of ``a``."""
+def _coherent_overlap_matrix(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """C[..., n] = <n|a> = exp(-|a|^2/2) a^n / sqrt(n!) at every point of ``a``, given the
+    ``scale`` exp(-log(n!)/2) for n = 0 .. n_max, which a caller builds once."""
     a = np.asarray(a)[..., None]
-    n = np.arange(n_max + 1)
-    return np.exp(-0.5 * np.abs(a) ** 2) * np.power(a, n) * np.exp(-0.5 * _log_factorials(n_max))
+    return np.exp(-0.5 * np.abs(a) ** 2) * np.power(a, np.arange(scale.size)) * scale
 
 
 def husimi_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> OperatorPhaseField:
@@ -443,9 +443,10 @@ def husimi_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> O
     vals = np.empty((points.size, d * d), dtype=complex)
     deficit = np.empty(points.size)
     size = max(1, _GEMM_MACS // rho_real.size)
+    scale = np.exp(-0.5 * _log_factorials(space.fock.n_max))
     for start in range(0, points.size, size):
         block = np.s_[start:start + size]
-        C = _coherent_overlap_matrix(points[block], space.fock.n_max)
+        C = _coherent_overlap_matrix(points[block], scale)
         left = (C.view(float) @ rho_real).view(complex).reshape(-1, d * d, nf)
         vals[block] = np.einsum("pkn,pn->pk", left, C) / np.pi
         deficit[block] = 1.0 - np.sum(np.abs(C) ** 2, axis=1)

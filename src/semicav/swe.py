@@ -5,13 +5,14 @@ field variable. Its evolution
 
     dpsi/dt = -i (a* j(t) + (a/2) j+(t)) psi - i j+(t) dpsi/da*
 
-is integrated by two independent backends:
+is integrated in two pictures:
 
-* ``bargmann``: expand psi = e^{-|a|^2/2} / sqrt(pi) * sum_n F_n (a*)^n / sqrt(n!)
-  and step the coefficient vectors; multiplication by a* raises, the
-  combination (a/2 + d/da*) lowers.
-* ``grid``: collocation on a PhaseGrid with the a*-derivative taken
-  spectrally.
+* coefficients: psi = e^{-|a|^2/2} / sqrt(pi) * sum_n F_n (a*)^n / sqrt(n!), where a*
+  raises and (a/2 + d/da*) lowers. This is the oracle's equation read through F = Y^T,
+  so the coefficient wave is the oracle's ``CompositeState`` (``coeffs`` is F), and
+  ``evolve_unitary`` steps it.
+* grid: a ``SemiclassicalWave``, collocated on a PhaseGrid with the a*-derivative taken
+  spectrally; the only independent discretization.
 
 The grid backend needs stabilization: exact solutions have the rigid form
 e^{-|a|^2/2} f(a*) with f anti-holomorphic, and the flow linearized around
@@ -26,11 +27,11 @@ norm of the current operator, which the interaction-picture rotation leaves
 invariant.
 """
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from semicav.fockspace import CompositeState, FockBasis
+from semicav.fockspace import CompositeSpace, CompositeState, FockBasis, _log_factorials
 from semicav.phasespace import (
     OperatorPhaseField,
     PhaseFunction,
@@ -41,8 +42,8 @@ from semicav.phasespace import (
     husimi_density,
     phase_space_moment,
 )
-from semicav.unitary import (NORM_TOL, AtomFieldModel, TimeGrid, density_operator, integrate,
-                             integrate_coupling, rk4_step, rotated_current)
+from semicav.unitary import (AtomFieldModel, TimeGrid, density_operator, evolve_unitary,
+                             integrate, product_initial_state, rk4_step, rotated_current)
 
 _K_CUT = 12.0  # radial low-pass of the spectral derivative, see the module docstring
 
@@ -63,54 +64,30 @@ __all__ = [
 
 @dataclass
 class SemiclassicalWave:
-    """Wave in either representation; total probability must be one.
+    """Grid wave: ``values`` of shape (M, M, d) over ``grid``, of unit total probability
+    within ``norm_tol``, by default the grid's ``tol``. ``norm_tol`` is kept as given, so
+    that ``dataclasses.replace`` repeats that check; no run reads it."""
 
-    Grid variant: ``values`` has shape (M, M, d) over ``grid``. Bargmann
-    variant: ``coeffs`` has shape (n_max + 1, d) over ``basis``. The construction
-    check of unit total probability uses ``norm_tol``, by default the grid
-    tolerance (grid variant) or 1e-10 (coefficient variant); it is not stored.
-    """
+    grid: PhaseGrid
+    values: np.ndarray
+    norm_tol: float | None = field(default=None, kw_only=True, repr=False, compare=False)
 
-    representation: str
-    time: float
-    grid: PhaseGrid | None = None
-    values: np.ndarray | None = None
-    basis: FockBasis | None = None
-    coeffs: np.ndarray | None = None
-    norm_tol: InitVar[float | None] = None
-
-    def __post_init__(self, norm_tol):
-        if self.representation == "grid":
-            if self.grid is None or self.values is None:
-                raise ValueError("grid representation requires grid and values")
-            self.values = np.asarray(self.values, dtype=complex)
-            M = self.grid.M
-            if self.values.ndim != 3 or self.values.shape[:2] != (M, M):
-                raise ValueError("values must have shape (M, M, d)")
-            norm_tol = self.grid.tol if norm_tol is None else norm_tol
-        elif self.representation == "bargmann":
-            if self.basis is None or self.coeffs is None:
-                raise ValueError("bargmann representation requires basis and coeffs")
-            self.coeffs = np.asarray(self.coeffs, dtype=complex)
-            if self.coeffs.ndim != 2 or self.coeffs.shape[0] != self.basis.dim:
-                raise ValueError("coeffs must have shape (n_max + 1, d)")
-            norm_tol = 1e-10 if norm_tol is None else norm_tol
-        else:
-            raise ValueError(f"unknown representation {self.representation!r}")
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=complex)
+        M = self.grid.M
+        if self.values.ndim != 3 or self.values.shape[:2] != (M, M):
+            raise ValueError("values must have shape (M, M, d)")
+        tol = self.grid.tol if self.norm_tol is None else self.norm_tol
         total = self.total_probability()
-        if not abs(total - 1.0) <= norm_tol:
-            raise ValueError(f"total probability {total} deviates from 1 beyond {norm_tol}")
+        if not abs(total - 1.0) <= tol:
+            raise ValueError(f"total probability {total} deviates from 1 beyond {tol}")
 
     @property
     def atom_dim(self) -> int:
-        if self.representation == "grid":
-            return self.values.shape[2]
-        return self.coeffs.shape[1]
+        return self.values.shape[2]
 
     def total_probability(self) -> float:
-        if self.representation == "grid":
-            return float(np.sum(np.abs(self.values) ** 2) * self.grid.weight)
-        return float(np.sum(np.abs(self.coeffs) ** 2))
+        return float(np.sum(np.abs(self.values) ** 2) * self.grid.weight)
 
 
 @dataclass(frozen=True)
@@ -127,12 +104,12 @@ class GridOptions:
 
 
 def initial_wave(psi_ato: np.ndarray, grid_or_basis,
-                 norm_tol: float | None = None) -> SemiclassicalWave:
+                 norm_tol: float | None = None) -> SemiclassicalWave | CompositeState:
     """Atom in ``psi_ato``, cavity in vacuum: psi0(a) = psi_ato e^{-|a|^2/2}/sqrt(pi).
 
-    In the coefficient representation this is F_0 = psi_ato, all higher
-    coefficients zero. ``norm_tol`` loosens the construction check of unit
-    probability for deliberately under-resolved grids; a run does not inherit it.
+    On a ``FockBasis`` this is the oracle's product state, F_0 = psi_ato and all higher
+    coefficients zero. ``norm_tol`` loosens the construction check of unit probability
+    of a grid start, for deliberately under-resolved grids; a run does not inherit it.
     """
     psi_ato = np.asarray(psi_ato, dtype=complex)
     if not abs(np.linalg.norm(psi_ato) - 1.0) <= 1e-12:
@@ -140,15 +117,10 @@ def initial_wave(psi_ato: np.ndarray, grid_or_basis,
     if isinstance(grid_or_basis, PhaseGrid):
         grid = grid_or_basis
         env = np.exp(-0.5 * np.abs(grid.nodes()) ** 2) / np.sqrt(np.pi)
-        values = env[:, :, None] * psi_ato[None, None, :]
-        return SemiclassicalWave("grid", time=0.0, grid=grid, values=values,
-                                 norm_tol=norm_tol)
+        return SemiclassicalWave(grid, env[:, :, None] * psi_ato[None, None, :], norm_tol=norm_tol)
     if isinstance(grid_or_basis, FockBasis):
-        basis = grid_or_basis
-        coeffs = np.zeros((basis.dim, psi_ato.shape[0]), dtype=complex)
-        coeffs[0] = psi_ato
-        return SemiclassicalWave("bargmann", time=0.0, basis=basis, coeffs=coeffs,
-                                 norm_tol=norm_tol)
+        return product_initial_state(psi_ato, np.eye(grid_or_basis.dim)[0],
+                                     CompositeSpace(len(psi_ato), grid_or_basis))
     raise TypeError("expected a PhaseGrid or a FockBasis")
 
 
@@ -255,51 +227,46 @@ def _grid_guard(wave: SemiclassicalWave, tol: float, check_boundary: bool):
     return guard
 
 
-def evolve_swe(model: AtomFieldModel, wave: SemiclassicalWave, tgrid: TimeGrid,
-               options: GridOptions | None = None) -> list[SemiclassicalWave]:
-    """Drive either backend over a TimeGrid, sampling every ``sample_stride`` steps.
+def evolve_swe(model: AtomFieldModel, wave: SemiclassicalWave | CompositeState,
+               tgrid: TimeGrid, options: GridOptions | None = None) -> list:
+    """Drive either picture over a TimeGrid, sampling every ``sample_stride`` steps; the
+    first sample is ``wave`` itself, and the sample times are those of ``tgrid``.
 
-    The coefficient backend steps the oracle's coupling map on F^T under the
-    checks of ``integrate_coupling``. The grid backend steps the atom-major
-    transpose of ``values``; its boundary-mass growth, per step and over the run,
-    is held to 1e-8 (unless disabled through ``options``), and unit probability
-    to ``options.norm_tol``, or else ``grid.tol``, after every step. ``options``
-    apply to a grid wave only.
+    A coefficient wave is stepped by ``evolve_unitary`` under its checks. A grid wave is
+    stepped as the atom-major transpose of ``values``; boundary-mass growth, per step and
+    over the run, is held to 1e-8 (unless ``options`` disable it), and unit probability to
+    ``options.norm_tol``, or else ``grid.tol``. ``options`` apply to a grid wave only.
     """
-    if abs(wave.time - tgrid.t_start) > 1e-12:
-        raise ValueError(f"wave time {wave.time} does not match grid start {tgrid.t_start}")
-    if wave.representation == "grid":
-        options = options or GridOptions()
-        tol = wave.grid.tol if options.norm_tol is None else options.norm_tol
-        stepper = GridStepper(model, wave.grid)
-        times, ys = integrate(lambda t, psi: rk4_step(stepper.rhs, t, psi, tgrid.dt),
-                              wave.values.transpose(2, 0, 1).copy(), tgrid,
-                              _grid_guard(wave, tol, options.check_boundary))
-        return [wave] + [SemiclassicalWave("grid", time=t, grid=wave.grid,
-                                           values=psi.transpose(1, 2, 0).copy(), norm_tol=tol)
-                         for t, psi in zip(times[1:], ys[1:])]
-    if options is not None:
-        raise ValueError("GridOptions apply to grid waves only, not to a coefficient wave")
-    times, ys = integrate_coupling(model, wave.coeffs.T, tgrid)
-    return [wave] + [SemiclassicalWave("bargmann", time=t, basis=wave.basis, coeffs=Y.T,
-                                       norm_tol=NORM_TOL) for t, Y in zip(times[1:], ys[1:])]
+    if isinstance(wave, CompositeState):
+        if options is not None:
+            raise ValueError("GridOptions apply to grid waves only, not to a coefficient wave")
+        return [wave] + evolve_unitary(model, wave, tgrid).states[1:]
+    options = options or GridOptions()
+    tol = wave.grid.tol if options.norm_tol is None else options.norm_tol
+    stepper = GridStepper(model, wave.grid)
+    _, ys = integrate(lambda t, psi: rk4_step(stepper.rhs, t, psi, tgrid.dt),
+                      wave.values.transpose(2, 0, 1).copy(), tgrid,
+                      _grid_guard(wave, tol, options.check_boundary))
+    return [wave] + [SemiclassicalWave(wave.grid, psi.transpose(1, 2, 0).copy(), norm_tol=tol)
+                     for psi in ys[1:]]
 
 
-def evaluate_on_grid(wave: SemiclassicalWave, grid: PhaseGrid) -> SemiclassicalWave:
+def evaluate_on_grid(wave: SemiclassicalWave | CompositeState,
+                     grid: PhaseGrid) -> SemiclassicalWave:
     """The one way onto the grid: a grid wave on ``grid`` as it is (another grid is refused),
     a coefficient wave summed at every node over B[..., n] = e^{-|a|^2/2} (a*)^n / sqrt(pi n!),
     orthonormal under dx dy."""
-    if wave.representation == "grid":
+    if isinstance(wave, SemiclassicalWave):
         if wave.grid != grid:
             raise ValueError(f"wave grid {wave.grid} does not match the grid {grid}")
         return wave
-    B = np.conj(_coherent_overlap_matrix(grid.nodes(), wave.basis.n_max)) / np.sqrt(np.pi)
-    values = np.einsum("xyn,nd->xyd", B, wave.coeffs)
-    return SemiclassicalWave("grid", time=wave.time, grid=grid, values=values)
+    scale = np.exp(-0.5 * _log_factorials(wave.space.fock.n_max))
+    B = np.conj(_coherent_overlap_matrix(grid.nodes(), scale)) / np.sqrt(np.pi)
+    return SemiclassicalWave(grid, np.einsum("xyn,nd->xyd", B, wave.coeffs))
 
 
-def _require_grid(wave: SemiclassicalWave, what: str) -> None:
-    if wave.representation != "grid":
+def _require_grid(wave, what: str) -> None:
+    if not isinstance(wave, SemiclassicalWave):
         raise ValueError(f"{what} needs a grid wave; map a coefficient wave with evaluate_on_grid")
 
 
@@ -374,7 +341,7 @@ class ComparisonReport:
 _MOMENT_POWERS = {"1": (0, 0), "a": (1, 0), "a*": (0, 1), "|a|^2": (1, 1)}
 
 
-def compare_to_oracle(wave: SemiclassicalWave, state: CompositeState,
+def compare_to_oracle(wave: SemiclassicalWave | CompositeState, state: CompositeState,
                       grid: PhaseGrid) -> ComparisonReport:
     """Check psi psi+ against the coherent-state diagonal of the oracle state.
 

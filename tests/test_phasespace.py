@@ -9,6 +9,7 @@ from semicav import phasespace
 
 from semicav.fockspace import (
     CompositeSpace,
+    CompositeState,
     FockBasis,
     annihilation,
     coherent_amplitudes,
@@ -354,7 +355,8 @@ class TestHusimi:
         vecs = rng.normal(size=(4, 33)) + 1j * rng.normal(size=(4, 33))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         rho = np.einsum("k,ki,kj->ij", rng.dirichlet(np.ones(4)), vecs, vecs.conj())
-        C = phasespace._coherent_overlap_matrix(grid.nodes(), 10)
+        C = phasespace._coherent_overlap_matrix(grid.nodes(),
+                                                np.exp(-0.5 * phasespace._log_factorials(10)))
         vals = np.einsum("xym,imjn,xyn->xyij", C.conj(), rho.reshape(3, 11, 3, 11), C) / np.pi
         vals = 0.5 * (vals + vals.conj().transpose(0, 1, 3, 2))
         deficit = 1.0 - np.sum(np.abs(C) ** 2, axis=2)
@@ -366,6 +368,26 @@ class TestHusimi:
             field = husimi_density(rho, space, grid)
             assert np.max(np.abs(field.values - vals)) <= 1e-14
             assert np.array_equal(field.truncation_flags, flags)
+
+    def test_overlap_scale_built_once_per_call(self, monkeypatch):
+        # the 1/sqrt(n!) vector of the coherent overlaps is built once per call, however
+        # many GEMM blocks the nodes fall into
+        from semicav import swe
+        original, calls = phasespace._log_factorials, []
+
+        def counting(n_max):
+            calls.append(n_max)
+            return original(n_max)
+
+        monkeypatch.setattr(phasespace, "_log_factorials", counting)
+        monkeypatch.setattr(swe, "_log_factorials", counting)
+        monkeypatch.setattr(phasespace, "_GEMM_MACS", 100 * (2 * 9) * (2 * 4 * 9))
+        space, grid = CompositeSpace(2, FockBasis(8)), PhaseGrid(5.0, 64)
+        state = CompositeState(space, np.eye(space.total_dim)[0])
+        husimi_density(np.outer(state.amplitudes, state.amplitudes.conj()), space, grid)
+        assert calls == [8]  # 41 blocks of 100 nodes
+        swe.evaluate_on_grid(state, grid)
+        assert calls == [8, 8]
 
     def test_truncation_flags(self, default_grid):
         space = CompositeSpace(1, FockBasis(8))

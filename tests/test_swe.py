@@ -1,3 +1,4 @@
+import dataclasses
 from math import factorial
 
 import numpy as np
@@ -112,9 +113,14 @@ class TestInitialWave:
         assert np.max(np.abs(dens.values - expected)) <= 1e-12
 
     def test_bargmann_coefficients(self):
+        # on a FockBasis the start is the oracle's product state, so both pictures share it
         wave = initial_wave(GROUND, FockBasis(6))
         np.testing.assert_allclose(wave.coeffs[0], GROUND)
         assert np.max(np.abs(wave.coeffs[1:])) == 0.0
+        space = CompositeSpace(2, FockBasis(6))
+        assert isinstance(wave, CompositeState) and wave.space == space
+        np.testing.assert_array_equal(
+            wave.amplitudes, product_initial_state(GROUND, np.eye(7)[0], space).amplitudes)
 
     def test_rejects_unnormalized(self, grid64):
         with pytest.raises(ValueError):
@@ -126,11 +132,30 @@ class TestInitialWave:
         with pytest.raises(ValueError, match="not normalized"):
             initial_wave(np.array([np.nan, 0.0]), rep)
         wave = initial_wave(EXCITED, rep)
-        amplitudes = "coeffs" if backend == "bargmann" else "values"
-        nan = np.full_like(getattr(wave, amplitudes), np.nan)
-        with pytest.raises(ValueError, match="total probability nan"):
-            SemiclassicalWave(backend, time=0.0, grid=wave.grid, basis=wave.basis,
-                              **{amplitudes: nan}, norm_tol=1.0)
+        if backend == "bargmann":
+            with pytest.raises(ValueError, match="state norm nan"):
+                CompositeState(wave.space, np.full_like(wave.amplitudes, np.nan), norm_tol=1.0)
+        else:
+            with pytest.raises(ValueError, match="total probability nan"):
+                SemiclassicalWave(grid64, np.full_like(wave.values, np.nan), norm_tol=1.0)
+
+    def test_norm_tol_is_kept_and_replace_repeats_the_check(self):
+        # the construction tolerance reads what the constructor was given, or None, and
+        # dataclasses.replace rebuilds the object under that same tolerance
+        loose = initial_wave(EXCITED, PhaseGrid(2.5, 32), norm_tol=1.0)  # 0.99914 of unit mass
+        assert loose.norm_tol == 1.0
+        assert dataclasses.replace(loose).norm_tol == 1.0
+        assert initial_wave(EXCITED, PhaseGrid(5.0, 64)).norm_tol is None
+        space = CompositeSpace(2, FockBasis(6))
+        amps = np.zeros(space.total_dim, dtype=complex)
+        amps[0] = 1.0 + 1e-5
+        state = CompositeState(space, amps, norm_tol=1e-4)
+        assert state.norm_tol == 1e-4
+        assert dataclasses.replace(state).norm_tol == 1e-4
+        assert CompositeState(space, np.eye(space.total_dim)[0]).norm_tol is None
+        with pytest.raises(ValueError, match="state norm 1.00001 deviates from 1 by more than 1e-12"):
+            dataclasses.replace(state, norm_tol=None)
+        assert "norm_tol" not in repr(loose) and "norm_tol" not in repr(state)
 
     def test_guards_refuse_nan(self, grid64):
         barg = initial_wave(EXCITED, FockBasis(6))
@@ -171,7 +196,7 @@ class TestBargmannStepper:
         t = 1.0
         np.testing.assert_allclose(wave.coeffs[0], np.cos(t) * EXCITED, atol=1e-8)
         np.testing.assert_allclose(wave.coeffs[1], -1j * np.sin(t) * GROUND, atol=1e-8)
-        assert wave.total_probability() == pytest.approx(1.0, abs=1e-9)
+        assert np.sum(np.abs(wave.coeffs) ** 2) == pytest.approx(1.0, abs=1e-9)
 
     # a cascade atom emits two photons, overflowing a 3-level mode. Both pictures
     # check the raw iterate of one coupling map, so both stop at the same step.
@@ -201,13 +226,13 @@ class TestBargmannStepper:
         model = two_level_model(g=1.0, detuning=0.5)
         wave = initial_wave(EXCITED, FockBasis(6))
         wave = evolve_swe(model, wave, TimeGrid(0.0, 1.0, 1e-3))[-1]
-        assert abs(wave.total_probability() - 1.0) <= 1e-9
+        assert abs(np.sum(np.abs(wave.coeffs) ** 2) - 1.0) <= 1e-9
 
     def test_probability_guard_names_step_and_time(self):
         # a start 2e-5 off unit probability, admitted at construction, is refused by the
         # run's own tolerance after the first step, as the oracle's is
-        wave = SemiclassicalWave("bargmann", time=0.0, basis=FockBasis(6), norm_tol=1e-4,
-                                 coeffs=initial_wave(EXCITED, FockBasis(6)).coeffs * (1 + 1e-5))
+        start = initial_wave(EXCITED, FockBasis(6))
+        wave = CompositeState(start.space, start.amplitudes * (1 + 1e-5), norm_tol=1e-4)
         with pytest.raises(RuntimeError, match=r"total probability 1\.00002.* beyond 1e-06 "
                                                 r"at step 1, t=0\.01;"):
             evolve_swe(two_level_model(g=1.0), wave, TimeGrid(0.0, 1.0, 1e-2))
@@ -219,9 +244,9 @@ class TestBargmannStepper:
             evolve_swe(two_level_model(g=1.0), wave, TimeGrid(0.0, 1e-2, 1e-3), options)
 
     def test_matches_oracle_on_three_levels(self, three_level_model):
-        # the coefficient backend steps the oracle's coupling map on F = Y^T under the same
-        # checks: from the vacuum, and from the random start on two Fock levels of
-        # test_step_map_matches_stepwise_rk4, whose total probability drifts by 3e-10
+        # the coefficient wave is the oracle's state and evolve_unitary steps it, so the
+        # samples are bit-equal: from the vacuum, and from the random start on two Fock
+        # levels of test_step_map_matches_stepwise_rk4, whose total probability drifts by 3e-10
         vacuum = np.zeros((3, 11), dtype=complex)
         vacuum[0, 0] = 1.0
         rng = np.random.default_rng(17)
@@ -232,11 +257,12 @@ class TestBargmannStepper:
             basis = FockBasis(Y0.shape[1] - 1)
             psi0 = CompositeState(CompositeSpace(3, basis), Y0.ravel())
             states = evolve_unitary(three_level_model, psi0, tgrid).states
-            waves = evolve_swe(three_level_model, SemiclassicalWave(
-                "bargmann", time=0.0, basis=basis, coeffs=Y0.T), tgrid)
-            assert len(waves) == len(states) == 5
+            waves = evolve_swe(three_level_model, psi0, tgrid)
+            assert len(waves) == len(states) == 5 and waves[0] is psi0
             for state, wave in zip(states, waves):
-                np.testing.assert_allclose(wave.coeffs.T, state.as_matrix(), atol=1e-14)
+                assert isinstance(wave, CompositeState)
+                np.testing.assert_array_equal(wave.amplitudes, state.amplitudes)
+                np.testing.assert_array_equal(wave.coeffs, state.as_matrix().T)
 
 
 class TestGridStepper:
@@ -438,7 +464,8 @@ class TestRepresentationMaps:
         rng = np.random.default_rng(13)
         coeffs = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
         coeffs /= np.sqrt(np.sum(np.abs(coeffs) ** 2))
-        barg = SemiclassicalWave("bargmann", time=0.0, basis=FockBasis(8), coeffs=coeffs)
+        barg = CompositeState(CompositeSpace(2, FockBasis(8)), coeffs.T.ravel())
+        np.testing.assert_array_equal(barg.coeffs, coeffs)
         # quadrature against e^{-|a|^2/2} (a*)^n / sqrt(pi n!), orthonormal under dx dy
         a = grid.nodes()[:, :, None]
         n = np.arange(9)
@@ -447,6 +474,20 @@ class TestRepresentationMaps:
         back = np.einsum("xyn,xyd->nd", basis.conj(), evaluate_on_grid(barg, grid).values) \
             * grid.weight
         np.testing.assert_allclose(back, coeffs, atol=1e-8)
+
+    def test_evolved_state_is_the_explicit_basis_sum(self):
+        # an oracle state is a coefficient wave: on the grid it is
+        # sum_n e^{-|a|^2/2} (a*)^n / sqrt(pi n!) F_n with F = Y^T, node by node
+        model = two_level_model(g=1.0, detuning=0.5)
+        space = CompositeSpace(2, FockBasis(14))
+        start = product_initial_state(EXCITED, coherent_amplitudes(0.6, space.fock), space)
+        state = evolve_unitary(model, start, TimeGrid(0.0, 0.5, 1e-3, 500)).states[-1]
+        grid = PhaseGrid(5.0, 64)
+        a = grid.nodes()
+        F = state.as_matrix().T
+        expected = sum(np.exp(-0.5 * np.abs(a) ** 2)[:, :, None] * np.conj(a)[:, :, None] ** n
+                       / np.sqrt(np.pi * factorial(n)) * F[n] for n in range(15))
+        assert np.max(np.abs(evaluate_on_grid(state, grid).values - expected)) <= 1e-15
 
     def test_norm_preserved(self, grid64):
         barg = initial_wave(EXCITED, FockBasis(8))
@@ -538,8 +579,7 @@ class TestExpectations:
         # 1 where phase_space_moment gives 1+1j, and sigma_+ would read 0
         alpha = 1.0 + 1.0j
         envelope = np.exp(-0.5 * np.abs(grid64.nodes() - alpha) ** 2) / np.sqrt(np.pi)
-        wave = SemiclassicalWave("grid", time=0.0, grid=grid64,
-                                 values=envelope[:, :, None] * EXCITED)
+        wave = SemiclassicalWave(grid64, envelope[:, :, None] * EXCITED)
         mean = phase_space_moment(field_density(wave), 1, 0)
         assert mean == pytest.approx(alpha, abs=1e-6)
         for poly in ({(1, 0): 1.0}, {(1, 1): 1.0j}, {(1, 0): 0.5, (0, 1): 0.4}):
@@ -600,7 +640,7 @@ class TestSampling:
     def test_zero_uniform_draws_first_node_of_positive_mass(self, grid64, monkeypatch):
         values = initial_wave(EXCITED, grid64).values.copy()
         values[0, :] = values[:, 0] = 0.0
-        wave = SemiclassicalWave("grid", time=0.0, grid=grid64, values=values)
+        wave = SemiclassicalWave(grid64, values)
 
         class ZeroRng:
             def random(self, count):
@@ -639,7 +679,7 @@ class TestSampling:
         values = _random_wave(rng, grid, 2)
         values[0, :] = values[:, 0] = 0.0
         values /= np.sqrt(np.sum(np.abs(values) ** 2) * grid.weight)
-        wave = SemiclassicalWave("grid", time=0.0, grid=grid, values=values)
+        wave = SemiclassicalWave(grid, values)
         count = 100000
         samples = sample_field(wave, count, seed=13)
         ix, iy = (np.round((part + grid.L) / grid.h).astype(int)
@@ -677,22 +717,21 @@ class TestJaynesCummingsReference:
         else:
             basis, tgrid, nbar = FockBasis(30), TimeGrid(0.0, 16.0, 2.5e-3, 40), 5.0
         c = coherent_amplitudes(np.sqrt(nbar), basis)
+        start = product_initial_state(EXCITED, c, CompositeSpace(2, basis))
+        # the sample times of every run are those of the TimeGrid
+        times = tgrid.t_start + tgrid.dt * np.arange(0, tgrid.n_steps + 1, tgrid.sample_stride)
         if solver == "oracle":
-            space = CompositeSpace(2, basis)
-            run = evolve_unitary(model, product_initial_state(EXCITED, c, space), tgrid)
-            times = run.times
+            run = evolve_unitary(model, start, tgrid)
+            np.testing.assert_array_equal(run.times, times)
             p_e = np.array([np.sum(np.abs(state.as_matrix()[0]) ** 2) for state in run.states])
+        elif solver == "grid":
+            waves = evolve_swe(model, evaluate_on_grid(start, PhaseGrid(6.0, 64)), tgrid)
+            excited = SemiclassicalObservable.constant(1.0, atom_op=np.diag([1.0, 0.0]))
+            p_e = np.array([swe_expectation(w, excited) for w in waves])
         else:
-            wave = SemiclassicalWave("bargmann", time=0.0, basis=basis,
-                                     coeffs=np.outer(c, EXCITED))
-            if solver == "grid":
-                waves = evolve_swe(model, evaluate_on_grid(wave, PhaseGrid(6.0, 64)), tgrid)
-                excited = SemiclassicalObservable.constant(1.0, atom_op=np.diag([1.0, 0.0]))
-                p_e = np.array([swe_expectation(w, excited) for w in waves])
-            else:
-                waves = evolve_swe(model, wave, tgrid)
-                p_e = np.array([np.sum(np.abs(w.coeffs[:, 0]) ** 2) for w in waves])
-            times = np.array([w.time for w in waves])
+            waves = evolve_swe(model, start, tgrid)
+            p_e = np.array([np.sum(np.abs(w.coeffs[:, 0]) ** 2) for w in waves])
+        assert len(p_e) == len(times)
         weight = 4.0 * g ** 2 * (np.arange(basis.dim) + 1)
         rabi = np.sqrt(detuning ** 2 + weight)
         series = (1.0 - (weight / rabi ** 2)[None, :]
