@@ -163,16 +163,26 @@ def _write_csv(path: Path, header_meta: dict, columns: list[str], table: np.ndar
     """The one CSV writer: a ``# key=value`` metadata line, a header, then each
     row of the ``(N, len(columns))`` float table as shortest round-trip floats.
 
-    Rows are converted in blocks of 4096, so the Python floats of the whole
-    table never exist at once."""
+    Each distinct row, keyed by its bytes (``0.0`` and ``-0.0`` print apart), is
+    formatted once; a repeat, such as a ``sample`` row of a node drawn before,
+    writes the cached line, so memory is bounded by the distinct rows."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    keys = table.view(f"V{table.itemsize * table.shape[1]}").ravel()
+    row_format = ",".join(["{}"] * table.shape[1]) + "\r\n"
+    lines: dict[bytes, str] = {}
     with open(path, "w", newline="") as fh:
         meta = " ".join(f"{k}={v}" for k, v in header_meta.items())
         fh.write(f"# {meta}\n")
         fh.write(",".join(columns) + "\r\n")
         for start in range(0, len(table), 4096):
-            fh.write("".join(",".join(map(repr, row)) + "\r\n"
-                             for row in table[start:start + 4096].tolist()))
+            block = keys[start:start + 4096].tolist()
+            new = {key: i for i, key in enumerate(block) if key not in lines}
+            rows = table[start:start + 4096]
+            if len(new) < len(block):
+                rows = rows[list(new.values())]
+            text = (row_format * len(rows)).format(*map(repr, rows.ravel().tolist()))
+            lines.update(zip(new, text.splitlines(True)))
+            fh.write(text if len(new) == len(block) else "".join(map(lines.__getitem__, block)))
 
 
 def _grid_table(grid: phasespace.PhaseGrid, values: np.ndarray) -> np.ndarray:

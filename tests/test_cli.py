@@ -341,6 +341,22 @@ class TestSampleCommand:
         assert np.all(deviation <= 5.0 * se), (deviation, se)
         assert 0.2 < rho_atom[1, 1].real < 0.3  # sin^2(0.5): the atom has moved
 
+    def test_rows_repeat_per_node(self, tmp_path):
+        # a sample's row is its node and the state normalized there, so a node
+        # drawn twice gives the same line twice: at most M^2 distinct lines
+        config = replace(small_config(tmp_path, fock={"n_max": 8}, grid={"L": 5.0, "M": 128}),
+                         sample_count=2000, sample_seed=1)
+        with open(cmd_sample(config, 0.785), newline="") as fh:
+            lines = fh.readlines()[2:]
+        assert len(lines) == 2000
+        line_at_node = {}
+        for line in lines:
+            fields = line.removesuffix("\r\n").split(",")
+            assert fields == [repr(float(field)) for field in fields]
+            assert line_at_node.setdefault((fields[0], fields[1]), line) == line
+        assert len(set(lines)) == len(line_at_node) <= config.grid.M ** 2
+        assert len(line_at_node) < len(lines)
+
 
 class TestVerifyCommand:
     # L 6, M 32 is coarse, but the state fits: no check may refuse it
@@ -593,6 +609,34 @@ class TestMain:
         assert result.stdout.splitlines()[-2:] == [str([0] * len(verbs)), "[]"]
 
 
+def csv_module_bytes(columns, table):
+    """The reference for ``_write_csv``: the csv.writer loop it replaced."""
+    expected = io.StringIO(newline="")
+    expected.write("# kind=test L=5.0\n")
+    writer = csv.writer(expected)
+    writer.writerow(columns)
+    for row in table:
+        writer.writerow([repr(float(v)) for v in row])
+    return expected.getvalue().encode()
+
+
+def rows_with_repeats(kind):
+    rng = np.random.default_rng(3)
+    if kind == "empty":
+        return np.zeros((0, 3))
+    if kind == "all-distinct":
+        return rng.normal(size=(4096 + 9, 3))
+    if kind == "repeat-after-first-block":
+        table = rng.normal(size=(2 * 4096 + 5, 3))
+        table[[17, 4096, 4097, 2 * 4096 + 4]] = table[5]  # first seen in block 1
+        return table
+    if kind == "signed-zero":
+        # equal as floats, not as bytes: keyed by value they would print alike
+        return np.array([[1.5, 0.0, 2.0], [1.5, -0.0, 2.0]] * 3000)
+    special = np.array([[np.nan, 1.0, -np.nan], [np.inf, -np.inf, 0.0], [5e-324, -5e-324, 1.0]])
+    return special[rng.integers(0, 3, 5000)]
+
+
 class TestCsvWriter:
     def test_bytes_match_the_csv_module(self, tmp_path):
         # the reference is the csv.writer loop the block writer replaced, over
@@ -603,10 +647,27 @@ class TestCsvWriter:
         columns = ["a", "b_re", "b_im"]
         path = tmp_path / "table.csv"
         _write_csv(path, {"kind": "test", "L": 5.0}, columns, table)
-        expected = io.StringIO(newline="")
-        expected.write("# kind=test L=5.0\n")
-        writer = csv.writer(expected)
-        writer.writerow(columns)
-        for row in table:
-            writer.writerow([repr(float(v)) for v in row])
-        assert path.read_bytes() == expected.getvalue().encode()
+        assert path.read_bytes() == csv_module_bytes(columns, table)
+
+    @pytest.mark.parametrize("kind", ["repeat-after-first-block", "signed-zero",
+                                      "special-floats", "all-distinct", "empty"])
+    def test_repeated_rows_match_the_csv_module(self, tmp_path, kind):
+        table = rows_with_repeats(kind)
+        columns = ["a", "b_re", "b_im"]
+        path = tmp_path / "table.csv"
+        _write_csv(path, {"kind": "test", "L": 5.0}, columns, table)
+        assert path.read_bytes() == csv_module_bytes(columns, table)
+
+    def test_each_distinct_row_is_formatted_once(self, tmp_path, monkeypatch):
+        # 1e4 rows drawn from 50: the float conversions scale with the distinct rows
+        rng = np.random.default_rng(4)
+        table = rng.normal(size=(50, 3))[rng.integers(0, 50, 10 ** 4)]
+        assert len(np.unique(table, axis=0)) == 50
+        calls = []
+        monkeypatch.setattr(semicav.cli, "repr", lambda x: calls.append(x) or repr(x),
+                            raising=False)
+        path = tmp_path / "table.csv"
+        _write_csv(path, {"kind": "test", "L": 5.0}, ["a", "b", "c"], table)
+        assert len(calls) <= 50 * 3
+        monkeypatch.undo()
+        assert path.read_bytes() == csv_module_bytes(["a", "b", "c"], table)
