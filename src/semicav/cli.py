@@ -163,9 +163,11 @@ def _write_csv(path: Path, header_meta: dict, columns: list[str], table: np.ndar
     """The one CSV writer: a ``# key=value`` metadata line, a header, then each
     row of the ``(N, len(columns))`` float table as shortest round-trip floats.
 
-    Each distinct row, keyed by its bytes (``0.0`` and ``-0.0`` print apart), is
-    formatted once; a repeat, such as a ``sample`` row of a node drawn before,
-    writes the cached line, so memory is bounded by the distinct rows."""
+    Rows go in blocks of 4096, each row keyed by its bytes (``0.0`` and ``-0.0`` print
+    apart). A block without repeats is written as formatted, and nothing of it is kept.
+    A block that repeats a row, of itself or of the cache (a ``sample`` row of a node drawn
+    before), caches each new row, formatted once, and is written from the cache. So memory
+    is bounded by one block plus the distinct rows of the blocks with repeats."""
     path.parent.mkdir(parents=True, exist_ok=True)
     keys = table.view(f"V{table.itemsize * table.shape[1]}").ravel()
     row_format = ",".join(["{}"] * table.shape[1]) + "\r\n"
@@ -177,12 +179,12 @@ def _write_csv(path: Path, header_meta: dict, columns: list[str], table: np.ndar
         for start in range(0, len(table), 4096):
             block = keys[start:start + 4096].tolist()
             new = {key: i for i, key in enumerate(block) if key not in lines}
-            rows = table[start:start + 4096]
-            if len(new) < len(block):
-                rows = rows[list(new.values())]
+            rows = table[start:start + 4096][list(new.values())]
             text = (row_format * len(rows)).format(*map(repr, rows.ravel().tolist()))
-            lines.update(zip(new, text.splitlines(True)))
-            fh.write(text if len(new) == len(block) else "".join(map(lines.__getitem__, block)))
+            if len(new) < len(block):
+                lines.update(zip(new, text.splitlines(True)))
+                text = "".join(map(lines.__getitem__, block))
+            fh.write(text)
 
 
 def _grid_table(grid: phasespace.PhaseGrid, values: np.ndarray) -> np.ndarray:
@@ -192,18 +194,19 @@ def _grid_table(grid: phasespace.PhaseGrid, values: np.ndarray) -> np.ndarray:
 
 
 def _oracle(config: ScenarioConfig, tgrid: unitary.TimeGrid) -> unitary.Trajectory:
-    """The oracle run from the start state of both pictures: atom in level 0, field in vacuum."""
-    space = config.composite_space()
-    level0, vacuum = np.eye(space.atom_dim)[0], np.eye(space.fock.dim)[0]
-    return unitary.evolve_unitary(config.model,
-                                  unitary.product_initial_state(level0, vacuum, space), tgrid)
+    """The oracle run from the start of both pictures, ``swe.initial_wave`` of atomic level 0."""
+    level0 = np.eye(config.model.atom_dim)[0]
+    return unitary.evolve_unitary(config.model, swe.initial_wave(level0, config.fock), tgrid)
 
 
-def _swe(config: ScenarioConfig, tgrid: unitary.TimeGrid) -> list[swe.SemiclassicalWave]:
-    """The SWE run on the config's backend from the start state of ``_oracle``."""
-    where = config.fock if config.swe_backend == "bargmann" else config.grid
+def _swe(config: ScenarioConfig, tgrid: unitary.TimeGrid, oracle=None) -> list:
+    """The SWE run on the config's backend from the start state of ``_oracle``. On the
+    coefficient backend the SWE is the oracle's equation, so the waves are the states of
+    ``oracle``, an ``_oracle`` run on ``tgrid``, or of one such run made here."""
+    if config.swe_backend == "bargmann":
+        return (oracle or _oracle(config, tgrid)).states
     return swe.evolve_swe(config.model,
-                          swe.initial_wave(np.eye(config.model.atom_dim)[0], where), tgrid)
+                          swe.initial_wave(np.eye(config.model.atom_dim)[0], config.grid), tgrid)
 
 
 def cmd_rabi(config: ScenarioConfig) -> dict:
@@ -213,7 +216,7 @@ def cmd_rabi(config: ScenarioConfig) -> dict:
     grid = config.grid
     tgrid = config.time_grid()
     trajectory = _oracle(config, tgrid)
-    waves = _swe(config, tgrid)
+    waves = _swe(config, tgrid, trajectory)
 
     space = config.composite_space()
     number_op = space.field_operator(fockspace.number_operator(space.fock))
@@ -412,8 +415,9 @@ def _verify_identities(config: ScenarioConfig) -> list[dict]:
     quarter = np.pi / 4.0
     n_steps = max(1, int(round(quarter / config.dt)))
     tgrid = _time_grid_to(config, n_steps * config.dt)
-    state = _oracle(config, tgrid).states[-1]
-    gwave = swe.evaluate_on_grid(_swe(config, tgrid)[-1], grid)
+    oracle = _oracle(config, tgrid)
+    state = oracle.states[-1]
+    gwave = swe.evaluate_on_grid(_swe(config, tgrid, oracle)[-1], grid)
     comparison = swe.compare_to_oracle(gwave, state, grid)
     swe_threshold = 1e-7 if config.swe_backend == "bargmann" else 1e-3 * comparison.oracle_max
     record("swe_density_equivalence", comparison.linf, swe_threshold)

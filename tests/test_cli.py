@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,6 +40,19 @@ def small_config(tmp_path, **overrides):
     }
     doc.update(overrides)
     return ScenarioConfig.from_dict(doc)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call is recorded; returns the list of calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 finite = st.floats(-1e3, 1e3, allow_nan=False)
@@ -201,11 +215,18 @@ class TestJsonFloats:
 
 
 class TestRabiCommand:
-    def test_timeseries_and_report(self, tmp_path):
-        config = small_config(tmp_path)
+    # the grid case at L 6, M 32: at L 5, M 64 its linf reads 4.9e-7, over the 1e-7 bound
+    @pytest.mark.parametrize("backend, L, M", [("bargmann", 5.0, 64), ("grid", 6.0, 32)],
+                             ids=["bargmann", "grid"])
+    def test_timeseries_and_report(self, tmp_path, monkeypatch, backend, L, M):
+        couplings = count_calls(monkeypatch, unitary, "integrate_coupling")
+        swe_runs = count_calls(monkeypatch, swe, "evolve_swe")
+        config = small_config(tmp_path, swe_backend=backend, grid={"L": L, "M": M})
         report = cmd_rabi(config)
+        # one oracle run; the coefficient backend's waves are its states
+        assert (len(couplings), len(swe_runs)) == (1, int(backend == "grid"))
         header, columns, rows = read_csv(Path(config.output_dir) / "rabi_timeseries.csv")
-        assert "backend=bargmann" in header
+        assert f"backend={backend}" in header
         assert columns[0] == "t" and "P_e_oracle" in columns
         assert len(rows) == len(report["rows"]) == 6
         for row in rows:
@@ -360,10 +381,16 @@ class TestSampleCommand:
 
 class TestVerifyCommand:
     # L 6, M 32 is coarse, but the state fits: no check may refuse it
-    @pytest.mark.parametrize("L, M", [(5.0, 64), (6.0, 32)], ids=["L5-M64", "L6-M32"])
-    def test_default_config_passes(self, tmp_path, L, M):
-        config = small_config(tmp_path, fock={"n_max": 8}, grid={"L": L, "M": M})
+    @pytest.mark.parametrize("L, M, backend", [
+        (5.0, 64, "bargmann"), (6.0, 32, "bargmann"), (6.0, 32, "grid"),
+    ], ids=["L5-M64", "L6-M32", "grid-L6-M32"])
+    def test_default_config_passes(self, tmp_path, monkeypatch, L, M, backend):
+        couplings = count_calls(monkeypatch, unitary, "integrate_coupling")
+        swe_runs = count_calls(monkeypatch, swe, "evolve_swe")
+        config = small_config(tmp_path, fock={"n_max": 8}, grid={"L": L, "M": M},
+                              swe_backend=backend)
         status, report = cmd_verify(config)
+        assert (len(couplings), len(swe_runs)) == (1, int(backend == "grid"))
         assert status == 0
         assert report["all_pass"]
         names = {c["name"] for c in report["checks"]}
@@ -549,6 +576,21 @@ class TestMain:
                      "sample", "--time", "0", "--count", "10"]) == 0
         assert (out_dir / "samples_t0.csv").exists()
 
+    @pytest.mark.parametrize("args, runs", [
+        (["rabi"], 1), (["verify"], 1), (["sample", "--time", "0.1"], 1),
+        (["phasespace", "--kind", "swe-density", "--time", "0.1"], 1),
+        (["phasespace", "--kind", "wigner", "--time", "0.1"], 1),
+        (["--backend", "grid", "sample", "--time", "0.01"], 0),
+    ], ids=["rabi", "verify", "sample", "swe-density", "wigner", "grid-sample"])
+    def test_one_coupling_run_per_verb(self, tmp_path, monkeypatch, args, runs):
+        # a coefficient-backend SWE run is the oracle run, so no verb integrates the
+        # coupling ODE twice; the grid backend's sample never reaches it
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(small_config(tmp_path).to_dict()))
+        calls = count_calls(monkeypatch, unitary, "integrate_coupling")
+        assert main(["--config", str(path), "--out", str(tmp_path / "out"), *args]) == 0
+        assert len(calls) == runs
+
     @pytest.mark.parametrize("section, value, message", [
         ("fock", 5, "fock in top level must be an object, got 5"),
         ("model", {"preset": "two-level", "g": "x"}, "g in model must be a number, got 'x'"),
@@ -671,3 +713,18 @@ class TestCsvWriter:
         assert len(calls) <= 50 * 3
         monkeypatch.undo()
         assert path.read_bytes() == csv_module_bytes(["a", "b", "c"], table)
+
+    def test_memory_without_repeats_does_not_grow_with_the_rows(self, tmp_path):
+        # a block without repeats is written as formatted and nothing of it is kept;
+        # one column, because tracemalloc slows each of the many small allocations
+        rng = np.random.default_rng(5)
+        peaks = []
+        for n_rows in (16384, 4 * 16384):
+            table = rng.normal(size=(n_rows, 1))
+            tracemalloc.start()
+            try:
+                _write_csv(tmp_path / "table.csv", {"kind": "test"}, ["a"], table)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
