@@ -103,14 +103,14 @@ class PhaseFunction:
             raise ValueError("values shape does not match grid")
         if self.kind == "husimi":
             if np.iscomplexobj(self.values):
-                if np.max(np.abs(self.values.imag)) > 1e-10:
+                if not np.max(np.abs(self.values.imag)) <= 1e-10:
                     raise ValueError("husimi values must be real")
                 self.values = self.values.real
-            if self.values.min() < -1e-10:
+            if not self.values.min() >= -1e-10:
                 raise ValueError(f"husimi values dip to {self.values.min()}")
         if self.kind in ("wigner", "husimi"):
             total = self.integral()
-            if abs(total - 1.0) > self.grid.tol:
+            if not abs(total - 1.0) <= self.grid.tol:
                 raise ValueError(f"quadrature sum {total} deviates from 1 beyond grid tolerance")
 
     def integral(self) -> float:
@@ -129,7 +129,6 @@ class OperatorPhaseField:
     grid: PhaseGrid
     values: np.ndarray
     kind: str = "sharp"
-    truncation_flags: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in ("sharp", "husimi"):
@@ -397,7 +396,7 @@ def coarse_grain(f):
         return SemiclassicalObservable.from_poly(out, atom_op=f.atom_op)
     grid = f.grid
     bmass = _boundary_mass(f.values, grid)
-    if bmass > 1e-8:
+    if not bmass <= 1e-8:
         raise ValueError(f"boundary mass {bmass} too large for periodic convolution")
     smoothed = _convolve_with_kernel(f.values, grid)
     if isinstance(f, PhaseFunction):
@@ -410,26 +409,15 @@ def coarse_grain(f):
     raise TypeError(f"cannot coarse-grain {type(f).__name__}")
 
 
-def _coherent_overlap_matrix(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """C[..., n] = <n|a> = exp(-|a|^2/2) a^n / sqrt(n!) at every point of ``a``, given the
-    ``scale`` exp(-log(n!)/2) for n = 0 .. n_max, which a caller builds once."""
-    a = np.asarray(a)[..., None]
-    return np.exp(-0.5 * np.abs(a) ** 2) * np.power(a, np.arange(scale.size)) * scale
-
-
 def husimi_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> OperatorPhaseField:
     """Coherent-state diagonal (1/pi) <a|rho|a> over the field factor.
 
     The node matrices are Hermitian positive semidefinite because rho is.
-    Nodes beyond |a| = sqrt(n_max)/2 whose truncated coherent expansion
-    misses more than 1e-10 of its weight are flagged in
-    ``truncation_flags``: values there are exact for states inside the
-    truncated space but do not approximate any higher-occupation physics.
 
     Each block of nodes, sized by _GEMM_MACS, is one real GEMM of the
-    conjugate overlaps with rho (field index m first) followed by a
-    contraction with the overlaps over n, so the (M, M, n_max + 1) overlap
-    is never built.
+    conjugate overlaps C[p, n] = <n|a_p> = e^{-|a_p|^2/2} a_p^n / sqrt(n!) with
+    rho (field index m first) followed by a contraction with the overlaps over
+    n, so the (M, M, n_max + 1) overlap is never built.
     """
     rho = _density_operator(rho, space)
     d, nf = space.atom_dim, space.fock.dim
@@ -438,23 +426,19 @@ def husimi_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> O
     rho_real = np.empty((2 * nf, 2 * d * d * nf))
     rho_real[0::2, 0::2], rho_real[1::2, 0::2] = rho_m.real, rho_m.imag
     rho_real[0::2, 1::2], rho_real[1::2, 1::2] = rho_m.imag, -rho_m.real
-    nodes = grid.nodes()
-    points = nodes.ravel()
+    points = grid.nodes().ravel()
     vals = np.empty((points.size, d * d), dtype=complex)
-    deficit = np.empty(points.size)
     size = max(1, _GEMM_MACS // rho_real.size)
     scale = np.exp(-0.5 * _log_factorials(space.fock.n_max))
     for start in range(0, points.size, size):
         block = np.s_[start:start + size]
-        C = _coherent_overlap_matrix(points[block], scale)
+        a = points[block, None]
+        C = np.exp(-0.5 * np.abs(a) ** 2) * np.power(a, np.arange(nf)) * scale
         left = (C.view(float) @ rho_real).view(complex).reshape(-1, d * d, nf)
         vals[block] = np.einsum("pkn,pn->pk", left, C) / np.pi
-        deficit[block] = 1.0 - np.sum(np.abs(C) ** 2, axis=1)
     vals = vals.reshape(grid.M, grid.M, d, d)
-    deficit = deficit.reshape(grid.M, grid.M)
     vals = 0.5 * (vals + vals.conj().transpose(0, 1, 3, 2))
-    flags = (np.abs(nodes) > 0.5 * np.sqrt(space.fock.n_max)) & (deficit > 1e-10)
-    return OperatorPhaseField(grid, vals, kind="husimi", truncation_flags=flags)
+    return OperatorPhaseField(grid, vals, kind="husimi")
 
 
 def husimi_function(rho_field: np.ndarray, grid: PhaseGrid) -> PhaseFunction:

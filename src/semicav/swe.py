@@ -38,7 +38,6 @@ from semicav.phasespace import (
     PhaseGrid,
     SemiclassicalObservable,
     _boundary_mass,
-    _coherent_overlap_matrix,
     husimi_density,
     phase_space_moment,
 )
@@ -254,15 +253,21 @@ def evolve_swe(model: AtomFieldModel, wave: SemiclassicalWave | CompositeState,
 def evaluate_on_grid(wave: SemiclassicalWave | CompositeState,
                      grid: PhaseGrid) -> SemiclassicalWave:
     """The one way onto the grid: a grid wave on ``grid`` as it is (another grid is refused),
-    a coefficient wave summed at every node over B[..., n] = e^{-|a|^2/2} (a*)^n / sqrt(pi n!),
-    orthonormal under dx dy."""
+    a coefficient wave as e^{-|a|^2/2} times sum_n F_n (a*)^n / sqrt(pi n!), the polynomial
+    summed at every node by Horner's rule, so no Fock axis is ever allocated."""
     if isinstance(wave, SemiclassicalWave):
         if wave.grid != grid:
             raise ValueError(f"wave grid {wave.grid} does not match the grid {grid}")
         return wave
-    scale = np.exp(-0.5 * _log_factorials(wave.space.fock.n_max))
-    B = np.conj(_coherent_overlap_matrix(grid.nodes(), scale)) / np.sqrt(np.pi)
-    return SemiclassicalWave(grid, np.einsum("xyn,nd->xyd", B, wave.coeffs))
+    scale = np.exp(-0.5 * _log_factorials(wave.space.fock.n_max)) / np.sqrt(np.pi)
+    coeffs = wave.coeffs * scale[:, None]
+    conj_a = np.conj(grid.nodes())[:, :, None]
+    values = np.full((grid.M, grid.M, wave.space.atom_dim), coeffs[-1])
+    for c in coeffs[-2::-1]:
+        values *= conj_a
+        values += c
+    values *= np.exp(-0.5 * np.abs(conj_a) ** 2)
+    return SemiclassicalWave(grid, values)
 
 
 def _require_grid(wave, what: str) -> None:
@@ -281,10 +286,11 @@ def swe_expectation(wave: SemiclassicalWave, F: SemiclassicalObservable) -> floa
     """Quadrature of psi+ F(a, a*) psi over the grid, for a Hermitian ``F`` only: the
     result is real when c_jk = conj(c_kj) and ``atom_op`` is Hermitian, both within 1e-12."""
     _require_grid(wave, "swe_expectation")
-    if any(abs(c - np.conj(F.poly.get((k, j), 0.0))) > 1e-12 for (j, k), c in F.poly.items()):
+    if not all(abs(c - np.conj(F.poly.get((k, j), 0.0))) <= 1e-12
+               for (j, k), c in F.poly.items()):
         raise ValueError(f"swe_expectation needs a Hermitian observable; the polynomial "
                          f"{F.poly} has c_jk != conj(c_kj)")
-    if F.atom_op is not None and np.max(np.abs(F.atom_op - F.atom_op.conj().T)) > 1e-12:
+    if F.atom_op is not None and not np.max(np.abs(F.atom_op - F.atom_op.conj().T)) <= 1e-12:
         raise ValueError("swe_expectation needs a Hermitian observable; atom_op is not "
                          "Hermitian within 1e-12")
     sym = F.values_on(wave.grid)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -8,7 +9,8 @@ from scipy.linalg import expm
 
 from semicav.fockspace import (CompositeSpace, CompositeState, FockBasis, coherent_amplitudes,
                                partial_trace_field)
-from semicav.phasespace import PhaseGrid, SemiclassicalObservable, phase_space_moment
+from semicav.phasespace import (PhaseFunction, PhaseGrid, SemiclassicalObservable, coarse_grain,
+                                phase_space_moment)
 from semicav import swe
 from semicav.swe import (
     _K_CUT,
@@ -475,19 +477,42 @@ class TestRepresentationMaps:
             * grid.weight
         np.testing.assert_allclose(back, coeffs, atol=1e-8)
 
-    def test_evolved_state_is_the_explicit_basis_sum(self):
+    @pytest.mark.parametrize("L, M, n_max", [(5.0, 64, 14), (8.0, 256, 16)],
+                             ids=["L5-M64-n14", "L8-M256-n16"])
+    def test_evolved_state_is_the_explicit_basis_sum(self, L, M, n_max):
         # an oracle state is a coefficient wave: on the grid it is
-        # sum_n e^{-|a|^2/2} (a*)^n / sqrt(pi n!) F_n with F = Y^T, node by node
+        # sum_n e^{-|a|^2/2} (a*)^n / sqrt(pi n!) F_n with F = Y^T, node by node; the
+        # second grid is verify_phasespace.json's, whose corners reach |a| = 11.3
         model = two_level_model(g=1.0, detuning=0.5)
-        space = CompositeSpace(2, FockBasis(14))
+        space = CompositeSpace(2, FockBasis(n_max))
         start = product_initial_state(EXCITED, coherent_amplitudes(0.6, space.fock), space)
         state = evolve_unitary(model, start, TimeGrid(0.0, 0.5, 1e-3, 500)).states[-1]
-        grid = PhaseGrid(5.0, 64)
+        grid = PhaseGrid(L, M)
         a = grid.nodes()
         F = state.as_matrix().T
         expected = sum(np.exp(-0.5 * np.abs(a) ** 2)[:, :, None] * np.conj(a)[:, :, None] ** n
-                       / np.sqrt(np.pi * factorial(n)) * F[n] for n in range(15))
+                       / np.sqrt(np.pi * factorial(n)) * F[n] for n in range(n_max + 1))
         assert np.max(np.abs(evaluate_on_grid(state, grid).values - expected)) <= 1e-15
+
+    def test_allocates_no_fock_axis(self):
+        # the same state held in FockBasis(16) and in FockBasis(40): the peak allocation
+        # of putting it on the grid stays a few wave arrays, whatever n_max
+        grid = PhaseGrid(5.0, 128)
+        amplitudes = coherent_amplitudes(0.5, FockBasis(8))
+        peaks = []
+        for n_max in (16, 40):
+            space = CompositeSpace(2, FockBasis(n_max))
+            padded = np.zeros(n_max + 1, dtype=complex)
+            padded[:9] = amplitudes / np.linalg.norm(amplitudes)
+            state = product_initial_state(EXCITED, padded, space)
+            tracemalloc.start()
+            try:
+                result = evaluate_on_grid(state, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+        assert peaks[1] <= 6 * result.values.nbytes, (peaks, result.values.nbytes)
 
     def test_norm_preserved(self, grid64):
         barg = initial_wave(EXCITED, FockBasis(8))
@@ -595,6 +620,32 @@ class TestExpectations:
         assert swe_expectation(wave, im_a) == pytest.approx(mean.imag, abs=1e-12)
         sigma_x = SemiclassicalObservable.constant(1.0, atom_op=[[0.0, 1.0], [1.0, 0.0]])
         assert swe_expectation(wave, sigma_x) == 0.0
+
+    @pytest.mark.parametrize("site", ["husimi-imag", "husimi-min", "wigner-sum", "poly",
+                                      "atom-op", "coarse-grain"])
+    def test_checks_refuse_nan(self, grid64, site):
+        # every check is written so that NaN fails it
+        q = np.exp(-np.abs(grid64.nodes()) ** 2) / np.pi
+        nan_node = np.zeros_like(q)
+        nan_node[32, 32] = np.nan
+        wave = initial_wave(EXCITED, grid64)
+        refused = {
+            "husimi-imag": (lambda: PhaseFunction(grid64, q + 1j * nan_node, kind="husimi"),
+                            "husimi values must be real"),
+            "husimi-min": (lambda: PhaseFunction(grid64, q + nan_node, kind="husimi"),
+                           "husimi values dip to nan"),
+            "wigner-sum": (lambda: PhaseFunction(grid64, np.full_like(q, np.nan), kind="wigner"),
+                           "quadrature sum nan"),
+            "poly": (lambda: swe_expectation(wave, SemiclassicalObservable.from_poly(
+                {(1, 1): np.nan})), "c_jk != conj"),
+            "atom-op": (lambda: swe_expectation(wave, SemiclassicalObservable.constant(
+                1.0, atom_op=[[np.nan, 0.0], [0.0, 1.0]])), "atom_op is not Hermitian"),
+            "coarse-grain": (lambda: coarse_grain(PhaseFunction(grid64, np.full_like(q, np.nan))),
+                             "boundary mass nan"),
+        }
+        build, message = refused[site]
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestSampling:
