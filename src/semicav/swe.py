@@ -145,7 +145,7 @@ class GridStepper:
         k = 2.0 * np.pi * np.fft.fftfreq(M, d=grid.h)
         keep = k[:, None] ** 2 + k[None, :] ** 2 <= _K_CUT ** 2
         self._band = band = np.flatnonzero(keep.any(axis=1))
-        self._gap = slice(band.size // 2 + 1, M - band.size // 2)
+        self._gap = slice(band.size // 2 + 1, M - (band.size - 1) // 2)  # between the band halves
         kx, ky, keep = k[band, None], k[None, band], keep[np.ix_(band, band)]
         self._s_dastar = 0.5 * (1j * kx - ky) * keep
         self._s_da = 0.5 * (1j * kx + ky) * keep
@@ -159,25 +159,34 @@ class GridStepper:
         return jt, jt.conj().T
 
     def _atoms(self, op: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``op`` on the atom axis of ``x`` into ``out``, by multiply-adds of whole planes."""
+        """``op`` on the atom axis of ``x`` into ``out``, by multiply-adds of whole planes, one
+        per non-zero entry of ``op``; a row of zeros writes zeros."""
         plane = self._tmp[0, :x.shape[1], :x.shape[2]]         # free outside the Dψ line
         for j, row in enumerate(op):                           # as one GEMM, two BLAS threads
-            np.multiply(x[0], row[0], out=out[j])
-            for i in range(1, row.size):
+            cols = np.flatnonzero(row)
+            if cols.size:
+                np.multiply(x[cols[0]], row[cols[0]], out=out[j])
+            else:
+                out[j] = 0.0
+            for i in cols[1:]:
                 out[j] += np.multiply(x[i], row[i], out=plane)
         return out
 
     def _band_fft2(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The band of ``fft2(x)`` over the node axes into ``out``; ``x`` is overwritten."""
-        strip = np.take(np.fft.fft(x, axis=2, out=x), self._band, axis=2, out=self._strip)
-        return np.take(np.fft.fft(strip, axis=1, out=strip), self._band, axis=1, out=out)
+        n, g, strip = self._gap.start, self._gap.stop, self._strip
+        x = np.fft.fft(x, axis=2, out=x)
+        strip[..., :n], strip[..., n:] = x[..., :n], x[..., g:]
+        strip = np.fft.fft(strip, axis=1, out=strip)
+        out[:, :n], out[:, n:] = strip[:, :n], strip[:, g:]
+        return out
 
     def _band_ifft2(self, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Inverse of ``_band_fft2``: the band spectrum zero-padded to (d, M, M), into ``out``."""
-        self._strip[:, self._band] = spectrum
-        self._strip[:, self._gap] = 0.0
-        out[:, :, self._band] = np.fft.ifft(self._strip, axis=1, out=self._strip)
-        out[:, :, self._gap] = 0.0
+        n, g, strip = self._gap.start, self._gap.stop, self._strip
+        strip[:, :n], strip[:, n:g], strip[:, g:] = spectrum[:, :n], 0.0, spectrum[:, n:]
+        strip = np.fft.ifft(strip, axis=1, out=strip)
+        out[..., :n], out[..., n:g], out[..., g:] = strip[..., :n], 0.0, strip[..., n:]
         return np.fft.ifft(out, axis=2, out=out)
 
     def rhs(self, t: float, psi: np.ndarray) -> np.ndarray:

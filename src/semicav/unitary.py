@@ -141,12 +141,22 @@ def density_operator(state: CompositeState) -> np.ndarray:
 
 def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarray,
              dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step for dy/dt = f(t, y) from t to t + dt."""
+    """One classical Runge-Kutta step for dy/dt = f(t, y) from t to t + dt.
+
+    Bit-identical to ``y + (dt/6)*(k1 + 2.0*k2 + 2.0*k3 + k4)``, but each stage derivative
+    is dropped once spent (k1 once k1 + 2 k2 is formed). The call holds two stage arguments
+    and the running sum, which it returns; it never writes into ``y`` or into an array ``f``
+    returned."""
     k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    s = np.multiply(0.5 * dt, k1)
+    k = f(t + 0.5 * dt, np.add(y, s, out=s))
+    s4 = np.multiply(2.0, k)                   # f may return s: read k before s is reused
+    acc = np.add(k1, s4)                       # allocated last, so no free trims the heap
+    del k1
+    k = f(t + 0.5 * dt, np.add(y, np.multiply(0.5 * dt, k, out=s), out=s))
+    acc += np.multiply(2.0, k, out=s4)
+    acc += f(t + dt, np.add(y, np.multiply(dt, k, out=s4), out=s4))
+    return np.add(y, np.multiply(dt / 6.0, acc, out=acc), out=acc)
 
 
 def integrate(step: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, tgrid: TimeGrid,

@@ -224,19 +224,18 @@ class TestSharpDensity:
 class TestChiOnGrid:
     @pytest.mark.parametrize("n_max", [2, 9, 20])
     def test_matches_displacement_exponential(self, n_max, monkeypatch):
-        # reference: tr(expm(lam a+ - lam* a) B) with B zero-padded 40 levels higher,
-        # so that truncating the exponential does not reach the block
+        # reference: tr(exp(lam a+ - lam* a) B) with B zero-padded 40 levels higher,
+        # so that truncating the exponential does not reach the block; the exponential
+        # is exp(-iH) of the Hermitian H = i(lam a+ - lam* a), from one batched eigh
         rng = np.random.default_rng(29 + n_max)
         nf = n_max + 1
         blocks = rng.normal(size=(nf, nf, 3, 3)) + 1j * rng.normal(size=(nf, nf, 3, 3))
         lam = np.linspace(0.0, 2.0, 19)[:, None] * np.exp(2j * np.pi * rng.random((19, 7)))
         a = annihilation(FockBasis(n_max + 40))
-        expected = np.empty(lam.shape + (3, 3), dtype=complex)
-        for idx in np.ndindex(lam.shape):
-            disp = expm(lam[idx] * a.conj().T - np.conj(lam[idx]) * a)
-            padded = np.zeros((a.shape[0], a.shape[0], 3, 3), dtype=complex)
-            padded[:nf, :nf] = blocks
-            expected[idx] = np.einsum("mn,nmij->ij", disp, padded)
+        lam_ = lam[..., None, None]
+        w, V = np.linalg.eigh(1j * (lam_ * a.conj().T - np.conj(lam_) * a))
+        disp = (V * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+        expected = np.einsum("...mn,nmij->...ij", disp[..., :nf, :nf], blocks)
         # 133 points: one block at the module's GEMM size, then five blocks of
         # at most 30 points, the last partial
         for macs in (phasespace._GEMM_MACS, 30 * nf * 4 * 9):

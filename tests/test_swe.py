@@ -321,6 +321,24 @@ class TestGridStepper:
         diff = np.max(np.abs(grid_run[-1].values - barg_on_grid.values))
         assert diff <= 1e-3 * scale
 
+    @pytest.mark.parametrize("which", ["two-level", "detuned", "three-level"])
+    def test_matches_oracle_to_round_off(self, which, request):
+        # on e^{-|a|^2/2} times a polynomial in a* the grid RHS is the coefficient RHS read
+        # on the grid, so the RK4 maps agree at any dt; at L 8 the domain edge is below
+        # round-off, and a defect of 1e-6 in a symbol reads 1e-8 here
+        grid = PhaseGrid(8.0, 64)
+        if which == "three-level":
+            model, psi_ato, n_max, bound = (request.getfixturevalue("three_level_model"),
+                                            np.array([0.6, 0.8j, 0.0]), 12, 1e-10)
+            tgrid = TimeGrid(0.0, 1.0, 4e-3)
+        else:
+            model = two_level_model(g=1.0, detuning=1.5 if which == "detuned" else 0.0)
+            psi_ato, n_max, bound = EXCITED, 8, 1e-13
+            tgrid = TimeGrid(0.0, 196 * 4e-3, 4e-3)
+        grid_run = evolve_swe(model, initial_wave(psi_ato, grid), tgrid)
+        oracle = evolve_unitary(model, initial_wave(psi_ato, FockBasis(n_max)), tgrid)
+        assert compare_to_oracle(grid_run[-1], oracle.states[-1], grid).linf <= bound
+
     def test_boundary_guard_fires_on_small_grid(self):
         # a domain of radius 3 cannot hold the spreading component
         model = two_level_model(g=1.0)
@@ -353,10 +371,11 @@ class TestGridStepper:
         spectral = evolve_swe(model, initial_wave(EXCITED, grid64), tgrid)
         assert np.max(np.abs(spectral[-1].values - exact)) <= 1e-4
 
-    @pytest.mark.parametrize("which", ["two_level", "three_level"])
+    @pytest.mark.parametrize("which", ["two_level", "detuned", "three_level"])
     def test_rhs_matches_five_transform_reference(self, which, grid64, request):
-        model = (two_level_model(g=1.0) if which == "two_level"
-                 else request.getfixturevalue("three_level_model"))
+        model = {"two_level": lambda: two_level_model(g=1.0),
+                 "detuned": lambda: two_level_model(g=1.0, detuning=1.5),
+                 "three_level": lambda: request.getfixturevalue("three_level_model")}[which]()
         rng = np.random.default_rng(11)
         stepper = GridStepper(model, grid64)
         # damping is changed on the same stepper between calls, so a value
@@ -423,6 +442,33 @@ class TestGridStepper:
         stepper.rhs(0.37, psi1)
         np.testing.assert_array_equal(stepper.rhs(0.37, psi2),
                                       GridStepper(model, grid64).rhs(0.37, psi2))
+
+    @pytest.mark.parametrize("detuning", [0.0, 1.5])
+    def test_atom_products_only_on_non_zero_entries(self, detuning, grid64, monkeypatch):
+        # j(t) of the two-level preset is g e^{-i detuning t} sigma_-, one non-zero entry:
+        # each _atoms call does one plane product, and the plane that meets only zero
+        # coefficients is never read, so NaN there leaves the result finite
+        stepper = GridStepper(two_level_model(g=1.0, detuning=detuning), grid64)
+        rng = np.random.default_rng(16)
+        products, multiply = [], np.multiply
+
+        def counting(x, *args, **kwargs):
+            products.append(x.shape)
+            return multiply(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "multiply", counting)
+        for t in (0.0, 0.37, 1.1):
+            jt, jdt = stepper._coupling(t)
+            for op in (-2j * jt, -1j * jdt):
+                (j, i), = np.argwhere(op)
+                x = _atom_major(_random_wave(rng, grid64, 2))
+                x[1 - i] = np.nan
+                products.clear()
+                result = stepper._atoms(op, x, np.empty_like(x))
+                assert products == [(grid64.M, grid64.M)]
+                assert np.all(np.isfinite(result))
+                np.testing.assert_array_equal(result[j], x[i] * op[j, i])
+                np.testing.assert_array_equal(result[1 - j], 0.0)
 
     @pytest.mark.parametrize("which", ["two_level", "three_level"])
     def test_rhs_transform_count(self, which, grid64, request, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -10,6 +12,8 @@ from semicav.fockspace import (
     coherent_amplitudes,
     number_operator,
 )
+from semicav.phasespace import PhaseGrid
+from semicav.swe import GridStepper
 from semicav.unitary import (
     AtomFieldModel,
     TimeGrid,
@@ -222,6 +226,15 @@ class TestEvolution:
             evolve_unitary(model, psi0, TimeGrid(0.0, 1.0, 0.01))
 
 
+def textbook_rk4(f, t, y, dt):
+    """Classical RK4 as the expression is written, every stage a fresh array."""
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = f(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def stepwise_rk4(model, space, Y0, tgrid):
     """Classical RK4 of -i H_I(t) y, one step at a time: the samples of ``tgrid``."""
     f = lambda t, y: -1j * interaction_hamiltonian(model, t, space) @ y
@@ -229,12 +242,7 @@ def stepwise_rk4(model, space, Y0, tgrid):
     y = Y0.ravel()
     samples = [y]
     for n in range(1, tgrid.n_steps + 1):
-        t = tgrid.t_start + (n - 1) * dt
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = f(t + dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = textbook_rk4(f, tgrid.t_start + (n - 1) * dt, y, dt)
         if n % tgrid.sample_stride == 0:
             samples.append(y)
     return samples
@@ -282,6 +290,63 @@ class TestCouplingOde:
         assert [s for s, _ in seen] == list(range(1, 101))
         assert seen[-1][1] == pytest.approx(1.0, abs=1e-15)
         assert starts == [0.0] + [t for _, t in seen[:-1]]
+
+
+class TestRk4Step:
+    @pytest.mark.parametrize("which", ["two_level", "detuned", "three_level"])
+    def test_grid_step_is_the_textbook_step(self, which, request):
+        model = {"two_level": lambda: two_level_model(g=1.0),
+                 "detuned": lambda: two_level_model(g=1.0, detuning=1.5),
+                 "three_level": lambda: request.getfixturevalue("three_level_model")}[which]()
+        stepper = GridStepper(model, PhaseGrid(5.0, 64))
+        rng = np.random.default_rng(19)
+        shape = (model.atom_dim, 64, 64)
+        y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        kept = y.copy()
+        for t in (0.0, 0.37):
+            step = rk4_step(stepper.rhs, t, y, 4e-3)
+            assert np.array_equal(step, textbook_rk4(stepper.rhs, t, y, 4e-3))
+            assert not np.shares_memory(step, y)
+        np.testing.assert_array_equal(y, kept)
+
+    @pytest.mark.parametrize("which", ["detuned_two_level", "three_level"])
+    def test_oracle_step_map_is_the_textbook_step(self, which, request):
+        if which == "three_level":
+            model = request.getfixturevalue("three_level_model")
+            space = CompositeSpace(3, FockBasis(6))
+        else:
+            model, space = two_level_model(g=0.7, detuning=0.9), CompositeSpace(2, FockBasis(5))
+        f = lambda s, X: -1j * interaction_hamiltonian(model, s, space) @ X
+        eye = np.eye(space.total_dim, dtype=complex)
+        assert np.array_equal(rk4_step(f, 0.0, eye, 0.01), textbook_rk4(f, 0.0, eye, 0.01))
+        np.testing.assert_array_equal(eye, np.eye(space.total_dim))
+
+    def test_f_may_return_its_argument(self):
+        # dy/dt = y with f handing back the very array it was given: no stage may
+        # overwrite a derivative that is still to be summed, nor y itself
+        y = np.array([1.0, -0.5, 2.0 + 1j])
+        kept = y.copy()
+        step = rk4_step(lambda s, x: x, 0.0, y, 0.1)
+        assert np.array_equal(step, textbook_rk4(lambda s, x: x, 0.0, y, 0.1))
+        np.testing.assert_array_equal(y, kept)
+        growth = 1 + 0.1 + 0.1 ** 2 / 2 + 0.1 ** 3 / 6 + 0.1 ** 4 / 24
+        np.testing.assert_allclose(step, growth * y, rtol=1e-15)
+
+    def test_grid_step_peak_allocation(self):
+        # the textbook expression holds four stage derivatives and its partial sums:
+        # 7 wave arrays at the peak; dropping each derivative once spent leaves 6
+        grid = PhaseGrid(5.0, 64)
+        stepper = GridStepper(two_level_model(g=1.0), grid)
+        rng = np.random.default_rng(23)
+        psi = rng.normal(size=(2, 64, 64)) + 1j * rng.normal(size=(2, 64, 64))
+        rk4_step(stepper.rhs, 0.0, psi, 4e-3)
+        tracemalloc.start()
+        try:
+            rk4_step(stepper.rhs, 0.0, psi, 4e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * psi.nbytes, peak / psi.nbytes
 
 
 class TestDensityOperator:
