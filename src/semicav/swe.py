@@ -216,8 +216,9 @@ def _grid_guard(wave: SemiclassicalWave, tol: float, check_boundary: bool):
     grid = wave.grid
     initial = previous = _boundary_mass(np.abs(wave.values) ** 2, grid)
 
-    def guard(step, t, psi):
+    def guard(step, ts, block):  # the grid steps one row at a time
         nonlocal previous
+        (t,), (psi,) = ts, block
         density = np.abs(psi) ** 2
         mass = _boundary_mass(np.moveaxis(density, 0, -1), grid)
         if check_boundary and not mass - previous <= 1e-8:
@@ -252,7 +253,7 @@ def evolve_swe(model: AtomFieldModel, wave: SemiclassicalWave | CompositeState,
     options = options or GridOptions()
     tol = wave.grid.tol if options.norm_tol is None else options.norm_tol
     stepper = GridStepper(model, wave.grid)
-    _, ys = integrate(lambda t, psi: rk4_step(stepper.rhs, t, psi, tgrid.dt),
+    _, ys = integrate(lambda t, psi, left: rk4_step(stepper.rhs, t, psi, tgrid.dt)[None],
                       wave.values.transpose(2, 0, 1).copy(), tgrid,
                       _grid_guard(wave, tol, options.check_boundary))
     return [wave] + [SemiclassicalWave(wave.grid, psi.transpose(1, 2, 0).copy(), norm_tol=tol)

@@ -2,7 +2,8 @@
 
 The coupling enters through the rotated current j(t) = e^{i w t} e^{i H t} J
 e^{-i H t}; the interaction Hamiltonian is j(t) (x) a+ + h.c. Integration is
-fixed-step classical RK4, applied as one precomputed step map.
+fixed-step classical RK4, applied as one precomputed step map, whose first K powers
+advance the run K steps per product.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,12 @@ from semicav.fockspace import CompositeSpace, CompositeState, FockBasis, annihil
 # deviation of total probability from 1 that a coupling-picture run allows; at the
 # dt refusal's limit dt ||H_I|| = 0.05 one RK4 step already loses up to 2.2e-10
 NORM_TOL = 1e-6
+
+# Real multiply-adds of one block product in integrate_coupling, which is also the number
+# of doubles in its stacked step-map powers: 1 MiB, which stays in L2. As a complex GEMV
+# the product woke OpenBLAS's second thread from 16 steps a block up (D 18), for twice the
+# CPU time; as a real GEMV it ran on the calling thread at every block size tried.
+_BLOCK_MACS = 1 << 17
 
 
 @dataclass
@@ -159,25 +166,29 @@ def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarr
     return np.add(y, np.multiply(dt / 6.0, acc, out=acc), out=acc)
 
 
-def integrate(step: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, tgrid: TimeGrid,
-              guard: Callable[[int, float, np.ndarray], None]) -> tuple[np.ndarray, list]:
-    """Advance y by ``y = step(t, y)`` across ``tgrid``, t being the start of each step.
+def integrate(step: Callable[[float, np.ndarray, int], np.ndarray], y0: np.ndarray,
+              tgrid: TimeGrid, guard: Callable[[int, np.ndarray, np.ndarray], None]
+              ) -> tuple[np.ndarray, list]:
+    """Advance y across ``tgrid`` in blocks of steps: ``step(t, y, left)`` returns the next
+    1 to ``left`` iterates stacked on a new first axis, t being the time of ``y``.
 
-    ``guard(n, t, y)`` runs after step n, ending at t, and raises to abort the run.
-    Returns the sample times (``t_start`` included) and the arrays at those
-    times; the first is a copy of ``y0``, and the others alias nothing as
-    long as ``step`` returns a fresh array.
+    ``guard(n, ts, block)`` runs after each block, whose first row is step n and whose rows
+    end at the times ``ts``, and raises to abort the run. Returns the sample times
+    (``t_start`` included) and the arrays at those times; the first is a copy of ``y0``,
+    the others are rows of the blocks, and rows of different blocks alias nothing as long
+    as ``step`` returns a fresh stack.
     """
     y = np.array(y0)
-    t = tgrid.t_start
+    t, n, stride = tgrid.t_start, 0, tgrid.sample_stride
     times, ys = [t], [y]
-    for n in range(1, tgrid.n_steps + 1):
-        y = step(t, y)
-        t = tgrid.t_start + n * tgrid.dt
-        guard(n, t, y)
-        if n % tgrid.sample_stride == 0:
-            times.append(t)
-            ys.append(y)
+    while n < tgrid.n_steps:
+        block = step(t, y, tgrid.n_steps - n)
+        ts = tgrid.t_start + np.arange(n + 1, n + 1 + len(block)) * tgrid.dt
+        guard(n + 1, ts, block)
+        first = -(n + 1) % stride                  # the first row whose step is a sample's
+        times.extend(ts[first::stride])
+        ys.extend(block[first::stride])
+        n, t, y = n + len(block), ts[-1], block[-1]
     return np.asarray(times), ys
 
 
@@ -194,12 +205,15 @@ def integrate_coupling(model: AtomFieldModel, Y0: np.ndarray,
     H_I(t + s) = U0(t)+ H_I(s) U0(t), so the steps telescope to Psi_n =
     U0(t_n)+ G^n U0(t_start) Psi_0 with G = U0(dt) M, M the RK4 map from 0,
     and ||H_I(t)|| is the same at every t. Refuses a coarse dt (``check_coupling_dt``),
-    then after each step reads the iterate G^n U0(t_start) Psi_0, whose Fock
-    populations are those of Psi_n, and raises when its top-Fock population
-    exceeds 1e-8 or its total probability deviates from 1 by more than
-    ``NORM_TOL``. The samples are shaped like Y0; the first is a copy of it.
+    then advances the iterate G^n U0(t_start) Psi_0 K steps at a time: one real GEMV
+    against the stacked powers G, G^2, ..., G^K, sized by ``_BLOCK_MACS``, gives a block's
+    iterates on the calling thread. Their Fock populations are those of Psi_n; the first
+    row whose top-Fock population exceeds 1e-8, or whose total probability deviates from 1
+    by more than ``NORM_TOL``, raises, naming its step and time. The samples are shaped
+    like Y0; the first is a copy of it.
     """
     d, nf = Y0.shape
+    D = d * nf
     space = CompositeSpace(d, FockBasis(nf - 1))
     check_coupling_dt(model, space, tgrid.dt)
     n = np.arange(nf)
@@ -208,24 +222,42 @@ def integrate_coupling(model: AtomFieldModel, Y0: np.ndarray,
         atom = (model._V * np.exp(-1j * model._evals * t)) @ model._V.conj().T
         return np.kron(atom, np.diag(np.exp(-1j * model.omega * t * n)))
 
-    def guard(step, t, Y):
-        edge = Y[:, -1]
-        top = float(np.vdot(edge, edge).real)
-        if not top <= 1e-8:
-            raise RuntimeError(f"probability {top} at the truncation edge at step {step}, "
-                               f"t={t}; raise n_max")
-        total = float(np.vdot(Y, Y).real)
-        if not abs(total - 1.0) <= NORM_TOL:
-            raise RuntimeError(f"total probability {total} deviates from 1 beyond {NORM_TOL} "
-                               f"at step {step}, t={t}; dt too large")
+    def guard(first, ts, block):
+        p = (block.real ** 2 + block.imag ** 2).reshape(-1, d, nf)
+        top, total = p[:, :, -1].sum(axis=1), p.sum(axis=(1, 2))
+        bad = ~((top <= 1e-8) & (np.abs(total - 1.0) <= NORM_TOL))  # NaN fails both
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        step, t = first + i, float(ts[i])
+        if not top[i] <= 1e-8:
+            raise RuntimeError(f"probability {float(top[i])} at the truncation edge at step "
+                               f"{step}, t={t}; raise n_max")
+        raise RuntimeError(f"total probability {float(total[i])} deviates from 1 beyond "
+                           f"{NORM_TOL} at step {step}, t={t}; dt too large")
 
     M = rk4_step(lambda s, X: -1j * interaction_hamiltonian(model, s, space) @ X,
-                 0.0, np.eye(d * nf, dtype=complex), tgrid.dt)
-    G = U0(tgrid.dt) @ M
-    start = (U0(tgrid.t_start) @ Y0.ravel()).reshape(d, nf)
-    times, ys = integrate(lambda t, Y: (G @ Y.ravel()).reshape(d, nf), start, tgrid, guard)
-    return times, [np.array(Y0)] + [(U0(-t) @ Y.ravel()).reshape(d, nf)
-                                    for t, Y in zip(times[1:], ys[1:])]
+                 0.0, np.eye(D, dtype=complex), tgrid.dt)
+    K = max(1, min(64, _BLOCK_MACS // (4 * D * D), tgrid.n_steps))
+    P = np.empty((K, D, D), dtype=complex)
+    P[0] = U0(tgrid.dt) @ M
+    for k in range(1, K):
+        P[k] = P[0] @ P[k - 1]
+    # y.view(float) @ R[:, :2Dk] == (P[:k] @ y).view(float): the rows of R are Re y and Im y
+    # interleaved, its columns the real and imaginary parts of G^1 y, ..., G^K y
+    PT = P.transpose(2, 0, 1)
+    R = np.empty((D, 2, K, D, 2))
+    R[:, 0, :, :, 0] = R[:, 1, :, :, 1] = PT.real
+    R[:, 1, :, :, 0], R[:, 0, :, :, 1] = -PT.imag, PT.imag
+    R = R.reshape(2 * D, 2 * D * K)
+
+    def block(t, y, left):
+        k = min(K, left)
+        return (y.view(float) @ R[:, :2 * D * k]).view(complex).reshape(k, D)
+
+    times, ys = integrate(block, U0(tgrid.t_start) @ Y0.ravel(), tgrid, guard)
+    return times, [np.array(Y0)] + [(U0(-t) @ y).reshape(d, nf)
+                                    for t, y in zip(times[1:], ys[1:])]
 
 
 def evolve_unitary(model: AtomFieldModel, psi0: CompositeState, grid: TimeGrid) -> Trajectory:

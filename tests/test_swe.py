@@ -11,7 +11,7 @@ from semicav.fockspace import (CompositeSpace, CompositeState, FockBasis, cohere
                                partial_trace_field)
 from semicav.phasespace import (PhaseFunction, PhaseGrid, SemiclassicalObservable, coarse_grain,
                                 phase_space_moment)
-from semicav import swe
+from semicav import swe, unitary
 from semicav.swe import (
     _K_CUT,
     GridOptions,
@@ -168,9 +168,9 @@ class TestInitialWave:
         wave = initial_wave(EXCITED, grid64)
         nan = np.full_like(_atom_major(wave.values), np.nan)  # the guard reads the iterate
         with pytest.raises(RuntimeError, match=r"boundary mass grew by nan .*step 3, t=0\.5\)"):
-            swe._grid_guard(wave, grid64.tol, True)(3, 0.5, nan)
+            swe._grid_guard(wave, grid64.tol, True)(3, np.array([0.5]), nan[None])
         with pytest.raises(RuntimeError, match=r"total probability nan .* at step 3, t=0\.5"):
-            swe._grid_guard(wave, grid64.tol, False)(3, 0.5, nan)
+            swe._grid_guard(wave, grid64.tol, False)(3, np.array([0.5]), nan[None])
 
 
 class TestZeroSteps:
@@ -223,6 +223,28 @@ class TestBargmannStepper:
         with pytest.raises(RuntimeError, match=self.CASCADE_OVERFLOW):
             evolve_unitary(self.cascade_model(), product_initial_state(psi0, vac, space),
                            TimeGrid(0.0, 2.0, 1e-3))
+
+    @pytest.mark.parametrize("rows", [4, 5])
+    def test_truncation_overflow_names_the_step_whatever_the_block(self, rows, monkeypatch):
+        # step 12 is the last row of the third block of 4, and the second row of the
+        # third block of 5; both pictures name it as a stepwise run does
+        monkeypatch.setattr(unitary, "_BLOCK_MACS", 4 * 9 ** 2 * rows)
+        psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+        wave = initial_wave(psi0, FockBasis(2))
+        with pytest.raises(RuntimeError, match=self.CASCADE_OVERFLOW):
+            evolve_swe(self.cascade_model(), wave, TimeGrid(0.0, 2.0, 1e-3))
+        with pytest.raises(RuntimeError, match=self.CASCADE_OVERFLOW):
+            evolve_unitary(self.cascade_model(), wave, TimeGrid(0.0, 2.0, 1e-3))
+
+    def test_probability_guard_fires_in_a_later_block(self):
+        # 1e-6 - 2e-9 short of unit probability, the start drifts past NORM_TOL at step 79,
+        # in the second block of 64, as a stepwise RK4 run does (tests/test_unitary.py)
+        start = initial_wave(EXCITED, FockBasis(2))
+        amps = start.amplitudes * np.sqrt(1.0 - unitary.NORM_TOL + 2e-9)
+        wave = CompositeState(start.space, amps, norm_tol=1e-5)
+        with pytest.raises(RuntimeError, match=r"total probability 0\.99999899.* beyond 1e-06 "
+                                                r"at step 79, t=2\.765;"):
+            evolve_swe(two_level_model(g=1.0), wave, TimeGrid(0.0, 7.0, 0.035))
 
     def test_probability_conserved_per_unit_time(self):
         model = two_level_model(g=1.0, detuning=0.5)
@@ -292,9 +314,9 @@ class TestGridStepper:
         stepper.damping = 0.0
         wave = initial_wave(EXCITED, grid64)
         dt, n_steps = 1e-3, 100
-        _, ys = integrate(lambda t, psi: rk4_step(stepper.rhs, t, psi, dt),
+        _, ys = integrate(lambda t, psi, left: rk4_step(stepper.rhs, t, psi, dt)[None],
                           _atom_major(wave.values), TimeGrid(0.0, n_steps * dt, dt, n_steps),
-                          lambda step, t, psi: None)
+                          lambda step, ts, block: None)
         current = _node_major(ys[-1])
         t = n_steps * dt
         a_conj = np.conj(grid64.nodes())
@@ -403,8 +425,8 @@ class TestGridStepper:
 
         y0 = _atom_major(initial_wave(EXCITED, grid64).values)
         y0_kept = y0.copy()
-        _, ys = integrate(lambda t, psi: rk4_step(stepper.rhs, t, psi, 1e-3), y0,
-                          TimeGrid(0.0, 5e-3, 1e-3), lambda step, t, psi: None)
+        _, ys = integrate(lambda t, psi, left: rk4_step(stepper.rhs, t, psi, 1e-3)[None], y0,
+                          TimeGrid(0.0, 5e-3, 1e-3), lambda step, ts, block: None)
         np.testing.assert_array_equal(y0, y0_kept)
         arrays = [y0] + ys
         assert len(arrays) == 7

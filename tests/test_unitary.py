@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -248,6 +249,27 @@ def stepwise_rk4(model, space, Y0, tgrid):
     return samples
 
 
+def first_refused_step(model, space, Y0, tgrid):
+    """The step, and its end time, at which a stepwise run first breaks a coupling run's
+    checks: top-Fock population above 1e-8, or total probability off 1 beyond NORM_TOL."""
+    f = lambda t, y: -1j * interaction_hamiltonian(model, t, space) @ y
+    y = Y0.ravel()
+    for n in range(1, tgrid.n_steps + 1):
+        y = textbook_rk4(f, tgrid.t_start + (n - 1) * tgrid.dt, y, tgrid.dt)
+        p = np.abs(y.reshape(space.atom_dim, -1)) ** 2
+        if not (p[:, -1].sum() <= 1e-8 and abs(p.sum() - 1.0) <= unitary.NORM_TOL):
+            return n, tgrid.t_start + n * tgrid.dt
+    return None
+
+
+def block_rows(monkeypatch, dim, rows):
+    """Make integrate_coupling advance ``rows`` steps per block on a ``dim``-dimensional space."""
+    monkeypatch.setattr(unitary, "_BLOCK_MACS", 4 * dim * dim * rows)
+
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
 class TestCouplingOde:
     @pytest.mark.parametrize("which", ["three_level", "detuned_two_level"])
     def test_step_map_matches_stepwise_rk4(self, which, request):
@@ -275,21 +297,86 @@ class TestCouplingOde:
             assert np.max(np.abs(Y.ravel() - y)) <= 1e-12
 
     def test_integrate_samples_and_guards(self):
-        # dy/dt = y: RK4 samples track e^t; the guard sees every step, and each
-        # step starts at the time the guard saw after the step before
-        seen, starts = [], []
+        # dy/dt = y: RK4 samples track e^t whether a step hands back one iterate or a stack
+        # of up to 7 (a stride of 25 divides neither 7 nor the 98 steps of the full blocks);
+        # the guard sees every step once and in order, and each block starts at the time
+        # the guard saw for the step before
+        for rows in (1, 7):
+            seen, starts = [], []
 
-        def step(t, y):
-            starts.append(t)
-            return rk4_step(lambda s, x: x, t, y, 0.01)
+            def step(t, y, left):
+                starts.append((t, len(seen)))
+                block = []
+                for i in range(min(rows, left)):
+                    y = rk4_step(lambda s, x: x, t + i * 0.01, y, 0.01)
+                    block.append(y)
+                return np.stack(block)
 
-        times, ys = integrate(step, np.ones(2), TimeGrid(0.0, 1.0, 0.01, 25),
-                              lambda step, t, y: seen.append((step, t)))
-        np.testing.assert_allclose(times, [0.0, 0.25, 0.5, 0.75, 1.0])
-        np.testing.assert_allclose([y[0] for y in ys], np.exp(times), rtol=1e-9)
-        assert [s for s, _ in seen] == list(range(1, 101))
-        assert seen[-1][1] == pytest.approx(1.0, abs=1e-15)
-        assert starts == [0.0] + [t for _, t in seen[:-1]]
+            def guard(first, ts, block):
+                assert len(ts) == len(block)
+                seen.extend(zip(range(first, first + len(block)), ts))
+
+            times, ys = integrate(step, np.ones(2), TimeGrid(0.0, 1.0, 0.01, 25), guard)
+            np.testing.assert_allclose(times, [0.0, 0.25, 0.5, 0.75, 1.0])
+            np.testing.assert_allclose([y[0] for y in ys], np.exp(times), rtol=1e-9)
+            assert [s for s, _ in seen] == list(range(1, 101))
+            assert seen[-1][1] == pytest.approx(1.0, abs=1e-15)
+            assert len(starts) == -(-100 // rows)
+            assert [t for t, _ in starts] == [0.0] + [seen[k - 1][1] for _, k in starts[1:]]
+
+    @pytest.mark.parametrize("rows", [None, 16])
+    def test_blocks_cut_across_samples(self, rows, monkeypatch):
+        # 100 steps in blocks of 64 (the default here) or 16, sampled every 7 steps: neither
+        # block size divides the run, and the stride divides neither, so samples fall on
+        # every row position and the last block is short
+        model, space = two_level_model(g=0.7, detuning=0.9), CompositeSpace(2, FockBasis(5))
+        if rows:
+            block_rows(monkeypatch, space.total_dim, rows)
+        rng = np.random.default_rng(29)
+        Y0 = np.zeros((2, 6), dtype=complex)
+        Y0[:, :2] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        Y0 /= np.linalg.norm(Y0)
+        tgrid = TimeGrid(0.2, 1.2, 0.01, 7)
+        times, ys = unitary.integrate_coupling(model, Y0, tgrid)
+        expected = stepwise_rk4(model, space, Y0, tgrid)
+        np.testing.assert_array_equal(times, [0.2 + n * 0.01 for n in range(0, 99, 7)])
+        assert len(ys) == len(expected) == 15
+        for Y, y in zip(ys, expected):
+            assert np.max(np.abs(Y.ravel() - y)) <= 1e-12
+
+    @pytest.mark.parametrize("rows", [None, 50])
+    def test_truncation_failure_in_a_later_block(self, rows, monkeypatch):
+        # sigma_x pumps photons without bound: the n = 4 edge passes 1e-8 at step 150, the
+        # 22nd row of the third block of 64 (the default here), or the last row of the
+        # third block of 50
+        model = AtomFieldModel(2, h_ato=0.5 * np.diag([1.0, -1.0]), j=SIGMA_X, omega=1.0)
+        space = CompositeSpace(2, FockBasis(4))
+        if rows:
+            block_rows(monkeypatch, space.total_dim, rows)
+        Y0 = np.zeros((2, 5), dtype=complex)
+        Y0[0, 0] = 1.0
+        tgrid = TimeGrid(0.0, 1.0, 1e-3)
+        step, t = first_refused_step(model, space, Y0, tgrid)
+        assert (step, t) == (150, 0.15)
+        expected = re.escape(f"truncation edge at step {step}, t={t};")
+        with pytest.raises(RuntimeError, match=expected):
+            unitary.integrate_coupling(model, Y0, tgrid)
+
+    @pytest.mark.parametrize("rows", [None, 13])
+    def test_probability_failure_in_a_later_block(self, rows, monkeypatch):
+        # a start 1e-6 - 2e-9 short of unit probability at dt ||H_I|| = 0.0495: RK4's
+        # loss crosses NORM_TOL at step 79, the 15th row of the second block of 64 (the
+        # default here), or the first row of the seventh block of 13
+        model, space = two_level_model(g=1.0), CompositeSpace(2, FockBasis(2))
+        if rows:
+            block_rows(monkeypatch, space.total_dim, rows)
+        Y0 = np.zeros((2, 3), dtype=complex)
+        Y0[0, 0] = np.sqrt(1.0 - unitary.NORM_TOL + 2e-9)
+        tgrid = TimeGrid(0.0, 7.0, 0.035)
+        step, t = first_refused_step(model, space, Y0, tgrid)
+        assert step == 79
+        with pytest.raises(RuntimeError, match=re.escape(f"beyond 1e-06 at step {step}, t={t};")):
+            unitary.integrate_coupling(model, Y0, tgrid)
 
 
 class TestRk4Step:
@@ -349,6 +436,24 @@ class TestRk4Step:
         assert peak <= 6.5 * psi.nbytes, peak / psi.nbytes
 
 
+    def test_grid_steps_reuse_their_pages(self):
+        # once warm, a grid step takes its temporaries from memory the process already
+        # holds: 50 steps fault in fewer pages than one wave (128 pages of 4 KiB) holds,
+        # where mapping fresh ones for every temporary costs about 250 a step
+        resource = pytest.importorskip("resource")
+        grid = PhaseGrid(5.0, 128)
+        stepper = GridStepper(two_level_model(g=1.0), grid)
+        psi = np.stack([np.exp(-0.5 * np.abs(grid.nodes()) ** 2) / np.sqrt(np.pi),
+                        np.zeros((128, 128))]).astype(complex)
+        for n in range(5):
+            psi = rk4_step(stepper.rhs, n * 4e-3, psi, 4e-3)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for n in range(5, 55):
+            psi = rk4_step(stepper.rhs, n * 4e-3, psi, 4e-3)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < psi.nbytes // 4096, faults
+
+
 class TestDensityOperator:
     def test_basis_state(self):
         space = CompositeSpace(2, FockBasis(2))
@@ -373,15 +478,15 @@ class TestTimeGrid:
             TimeGrid(0.0, 1.0, 0.3)
 
     def test_sample_times(self):
-        times, _ = integrate(lambda t, y: 2.0 * y, np.ones(1), TimeGrid(0.0, 1.0, 0.1, 5),
-                             lambda step, t, y: None)
+        times, _ = integrate(lambda t, y, left: 2.0 * y[None], np.ones(1),
+                             TimeGrid(0.0, 1.0, 0.1, 5), lambda step, ts, block: None)
         np.testing.assert_allclose(times, [0.0, 0.5, 1.0])
 
     def test_zero_length_yields_one_sample(self):
         steps = []
         y0 = np.ones(2)
-        times, ys = integrate(lambda t, y: y, y0, TimeGrid(0.7, 0.7, 0.1),
-                              lambda step, t, y: steps.append(step))
+        times, ys = integrate(lambda t, y, left: y[None], y0, TimeGrid(0.7, 0.7, 0.1),
+                              lambda step, ts, block: steps.append(step))
         assert list(times) == [0.7] and steps == []
         np.testing.assert_array_equal(ys[0], y0)
         assert ys[0] is not y0
