@@ -122,6 +122,17 @@ def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
 
 
+def _real_form(A: np.ndarray) -> np.ndarray:
+    """The real (2m, 2n) matrix R of a complex (m, n) matrix A with
+    ``x.view(float) @ R == (x @ A).view(float)``: real and imaginary parts interleaved on
+    both axes, as a complex array viewed as float holds them."""
+    m, n = A.shape
+    R = np.empty((m, 2, n, 2))
+    R[:, 0, :, 0] = R[:, 1, :, 1] = A.real
+    R[:, 0, :, 1], R[:, 1, :, 0] = A.imag, -A.imag
+    return R.reshape(2 * m, 2 * n)
+
+
 def symmetric_product(A: np.ndarray, O: np.ndarray) -> np.ndarray:
     """Symmetric (Jordan) product (A O + O A) / 2."""
     A = np.asarray(A)

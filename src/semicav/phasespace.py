@@ -22,6 +22,7 @@ from semicav.fockspace import (
     CompositeSpace,
     FockBasis,
     _log_factorials,
+    _real_form,
     annihilation,
     symmetric_product,
     superop_weyl_apply,
@@ -416,16 +417,13 @@ def husimi_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> O
 
     Each block of nodes, sized by _GEMM_MACS, is one real GEMM of the
     conjugate overlaps C[p, n] = <n|a_p> = e^{-|a_p|^2/2} a_p^n / sqrt(n!) with
-    rho (field index m first) followed by a contraction with the overlaps over
-    n, so the (M, M, n_max + 1) overlap is never built.
+    rho (field index m first, in its ``_real_form``) followed by a contraction
+    with the overlaps over n, so the (M, M, n_max + 1) overlap is never built.
     """
     rho = _density_operator(rho, space)
     d, nf = space.atom_dim, space.fock.dim
     rho_m = rho.reshape(d, nf, d, nf).transpose(1, 0, 2, 3).reshape(nf, d * d * nf)
-    # (C.view(float) @ rho_real).view(complex) == C.conj() @ rho_m
-    rho_real = np.empty((2 * nf, 2 * d * d * nf))
-    rho_real[0::2, 0::2], rho_real[1::2, 0::2] = rho_m.real, rho_m.imag
-    rho_real[0::2, 1::2], rho_real[1::2, 1::2] = rho_m.imag, -rho_m.real
+    rho_real = _real_form(rho_m)
     points = grid.nodes().ravel()
     vals = np.empty((points.size, d * d), dtype=complex)
     size = max(1, _GEMM_MACS // rho_real.size)
@@ -434,7 +432,7 @@ def husimi_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> O
         block = np.s_[start:start + size]
         a = points[block, None]
         C = np.exp(-0.5 * np.abs(a) ** 2) * np.power(a, np.arange(nf)) * scale
-        left = (C.view(float) @ rho_real).view(complex).reshape(-1, d * d, nf)
+        left = (C.conj().view(float) @ rho_real).view(complex).reshape(-1, d * d, nf)
         vals[block] = np.einsum("pkn,pn->pk", left, C) / np.pi
     vals = vals.reshape(grid.M, grid.M, d, d)
     vals = 0.5 * (vals + vals.conj().transpose(0, 1, 3, 2))

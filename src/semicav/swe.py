@@ -22,9 +22,9 @@ the transverse component: a radial low-pass filter on the derivative
 (physical states decay like e^{-k^2/2} in the conjugate variable, so a
 cutoff near 12 discards nothing measurable) and a penalty term
 -mu D+ D psi with D = d/da + a*/2, which annihilates the manifold exactly
-and damps every transverse mode at rate >= mu. mu is 5 times the spectral
-norm of the current operator, which the interaction-picture rotation leaves
-invariant.
+and damps every transverse mode at rate >= mu. mu is ``_PENALTY`` (5) times
+the spectral norm of the current operator, which the interaction-picture
+rotation leaves invariant.
 """
 
 from dataclasses import dataclass, field
@@ -45,20 +45,7 @@ from semicav.unitary import (AtomFieldModel, TimeGrid, density_operator, evolve_
                              integrate, product_initial_state, rk4_step, rotated_current)
 
 _K_CUT = 12.0  # radial low-pass of the spectral derivative, see the module docstring
-
-__all__ = [
-    "SemiclassicalWave",
-    "GridOptions",
-    "ComparisonReport",
-    "initial_wave",
-    "evolve_swe",
-    "evaluate_on_grid",
-    "field_density",
-    "swe_expectation",
-    "sample_field",
-    "compare_to_oracle",
-    "GridStepper",
-]
+_PENALTY = 5.0  # mu / ||J||_2 of the transverse penalty, see the module docstring
 
 
 @dataclass
@@ -129,26 +116,29 @@ class GridStepper:
     The iterate is atom-major, ``(d, M, M)``; ``rhs`` is ``-i(a* Jψ + ½a J†ψ + J†∂*ψ)
     - μ D†Dψ`` with ``D = ∂ + ½a*``, ``D† = -∂* + ½a``. The d×d products commute with the
     transforms over the node axes, so ``∂*ψ`` and ``μ∂*Dψ`` share one inverse: a call does
-    four transforms of d planes (two when ``damping`` is 0), each only on the band of B
-    fftfreq indices per axis with |k| ≤ ``_K_CUT``: forward, a full pass along the last
-    axis, then the middle one over the band; inverse, the reverse, with the gap zeroed
-    every call. Symbols at ``(B, B)`` and node factors ``½a``, ``½a*`` at ``(M, M)``
-    broadcast over the atom axis. The only grid-sized array a call allocates is its result.
+    four transforms of d planes, each only on the band of B fftfreq indices per axis with
+    |k| ≤ ``_K_CUT``: forward, a full pass along the last axis, then the middle one over
+    the band; inverse, the reverse, with the gap zeroed every call. Symbols at ``(B, B)``
+    and node factors ``½a``, ``½a*`` at ``(M, M)`` broadcast over the atom axis. μ =
+    ``_PENALTY``·‖J‖₂ is folded into ``S_∂`` and a ``μ½a*`` factor at construction, so
+    nothing set afterwards changes the RHS. The only grid-sized array a call allocates is
+    its result.
     """
 
     def __init__(self, model: AtomFieldModel, grid: PhaseGrid):
         self.model, self.grid = model, grid
-        self.damping = 5.0 * float(np.linalg.norm(model.j, 2))
+        mu = _PENALTY * float(np.linalg.norm(model.j, 2))
         M, d = grid.M, model.atom_dim
         nodes = grid.nodes()
         self._half_a, self._half_ac = 0.5 * nodes, 0.5 * np.conj(nodes)
+        self._mu_half_ac = mu * self._half_ac
         k = 2.0 * np.pi * np.fft.fftfreq(M, d=grid.h)
         keep = k[:, None] ** 2 + k[None, :] ** 2 <= _K_CUT ** 2
         self._band = band = np.flatnonzero(keep.any(axis=1))
         self._gap = slice(band.size // 2 + 1, M - (band.size - 1) // 2)  # between the band halves
         kx, ky, keep = k[band, None], k[None, band], keep[np.ix_(band, band)]
         self._s_dastar = 0.5 * (1j * kx - ky) * keep
-        self._s_da = 0.5 * (1j * kx + ky) * keep
+        self._s_da = mu * (0.5 * (1j * kx + ky) * keep)
         self._f, self._g = (np.empty((d, band.size, band.size), dtype=complex) for _ in range(2))
         self._strip = np.empty((d, M, band.size), dtype=complex)
         self._v, self._w, self._tmp = (np.empty((d, M, M), dtype=complex) for _ in range(3))
@@ -195,13 +185,11 @@ class GridStepper:
         f = self._band_fft2(self._v, self._f)
         g = self._atoms(-1j * jdt, f, self._g)                 # -iJ†F
         w = self._atoms(-1j * jdt, psi, self._w)               # -iJ†ψ
-        if mu := self.damping:
-            f *= self._s_da                                    # F is spent after g
-            v = self._band_ifft2(f, self._v)                   # ∂ψ
-            v += np.multiply(self._half_ac, psi, out=self._tmp)  # Dψ
-            v *= mu
-            w -= v
-            g += self._band_fft2(v, self._f)
+        f *= self._s_da                                        # F is spent after g
+        v = self._band_ifft2(f, self._v)                       # μ∂ψ
+        v += np.multiply(self._mu_half_ac, psi, out=self._tmp)  # μDψ
+        w -= v
+        g += self._band_fft2(v, self._f)
         g *= self._s_dastar
         w *= self._half_a
         out = self._atoms(-2j * jt, psi, np.empty_like(psi))

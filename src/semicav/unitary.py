@@ -11,7 +11,8 @@ from typing import Callable
 
 import numpy as np
 
-from semicav.fockspace import CompositeSpace, CompositeState, FockBasis, annihilation, tensor
+from semicav.fockspace import (CompositeSpace, CompositeState, FockBasis, _real_form, annihilation,
+                               tensor)
 
 # deviation of total probability from 1 that a coupling-picture run allows; at the
 # dt refusal's limit dt ||H_I|| = 0.05 one RK4 step already loses up to 2.2e-10
@@ -28,9 +29,8 @@ _BLOCK_MACS = 1 << 17
 class AtomFieldModel:
     """Atomic Hamiltonian, current operator and mode frequency (hbar = 1).
 
-    The eigendecomposition of ``h_ato`` and the tables of ``rotated_current``
-    built from it are made at construction, so the fields are not to be
-    changed afterwards.
+    The eigendecomposition of ``h_ato``, which ``atom_propagator`` reads, is
+    made at construction, so the fields are not to be changed afterwards.
     """
 
     atom_dim: int
@@ -52,13 +52,7 @@ class AtomFieldModel:
             raise ValueError("h_ato is not Hermitian within 1e-12")
         if self.omega < 0:
             raise ValueError(f"omega must be >= 0, got {self.omega}")
-        # in the eigenbasis of H, j(t) is elementwise e^{i(E_m - E_n + omega) t} (V+ J V)_mn;
-        # flattened and mapped back, j(t) = _rot @ exp(i _bohr t)
-        # V diag(e^{-iEt}) V+ is also the atom factor of U0(t) in integrate_coupling
-        evals, V = self._evals, self._V = np.linalg.eigh(self.h_ato)
-        self._bohr = (evals[:, None] - evals[None, :] + self.omega).ravel()
-        self._rot = np.einsum("am,mn,bn->abmn", V, V.conj().T @ self.j @ V,
-                              V.conj()).reshape(d * d, d * d)
+        self._evals, self._V = np.linalg.eigh(self.h_ato)
 
 
 def two_level_model(g: float, detuning: float = 0.0, omega: float = 1.0) -> AtomFieldModel:
@@ -109,10 +103,16 @@ class Trajectory:
     states: list[CompositeState]
 
 
+def atom_propagator(model: AtomFieldModel, t: float) -> np.ndarray:
+    """The atom's free evolution A(t) = e^{-i H_ato t} = V e^{-iEt} V+, from the model's
+    ``eigh``: the factor of ``rotated_current`` and the atom factor of U0(t)."""
+    return (model._V * np.exp(-1j * model._evals * t)) @ model._V.conj().T
+
+
 def rotated_current(model: AtomFieldModel, t: float) -> np.ndarray:
-    """j(t) = e^{i omega t} e^{i H t} J e^{-i H t}: the Bohr phases mapped back by ``_rot``."""
-    d = model.atom_dim
-    return (model._rot @ np.exp(1j * model._bohr * t)).reshape(d, d)
+    """j(t) = e^{i omega t} A(t)+ J A(t), with A the ``atom_propagator``."""
+    A = atom_propagator(model, t)
+    return np.exp(1j * model.omega * t) * (A.conj().T @ model.j @ A)
 
 
 def interaction_hamiltonian(model: AtomFieldModel, t: float, space: CompositeSpace) -> np.ndarray:
@@ -219,8 +219,7 @@ def integrate_coupling(model: AtomFieldModel, Y0: np.ndarray,
     n = np.arange(nf)
 
     def U0(t):  # exp(-i (H_ato (x) 1 + omega 1 (x) a+a) t), atom index first
-        atom = (model._V * np.exp(-1j * model._evals * t)) @ model._V.conj().T
-        return np.kron(atom, np.diag(np.exp(-1j * model.omega * t * n)))
+        return np.kron(atom_propagator(model, t), np.diag(np.exp(-1j * model.omega * t * n)))
 
     def guard(first, ts, block):
         p = (block.real ** 2 + block.imag ** 2).reshape(-1, d, nf)
@@ -243,13 +242,8 @@ def integrate_coupling(model: AtomFieldModel, Y0: np.ndarray,
     P[0] = U0(tgrid.dt) @ M
     for k in range(1, K):
         P[k] = P[0] @ P[k - 1]
-    # y.view(float) @ R[:, :2Dk] == (P[:k] @ y).view(float): the rows of R are Re y and Im y
-    # interleaved, its columns the real and imaginary parts of G^1 y, ..., G^K y
-    PT = P.transpose(2, 0, 1)
-    R = np.empty((D, 2, K, D, 2))
-    R[:, 0, :, :, 0] = R[:, 1, :, :, 1] = PT.real
-    R[:, 1, :, :, 0], R[:, 0, :, :, 1] = -PT.imag, PT.imag
-    R = R.reshape(2 * D, 2 * D * K)
+    # y.view(float) @ R[:, :2Dk] == (P[:k] @ y).view(float): G^1 y, ..., G^K y in turn
+    R = _real_form(P.transpose(2, 0, 1).reshape(D, K * D))
 
     def block(t, y, left):
         k = min(K, left)

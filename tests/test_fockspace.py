@@ -12,6 +12,7 @@ from semicav.fockspace import (
     CompositeState,
     FockBasis,
     _log_factorials,
+    _real_form,
     annihilation,
     coherent_amplitudes,
     ladder_exponential,
@@ -135,6 +136,19 @@ class TestLogFactorials:
     @pytest.mark.parametrize("n_max", [0, 1])
     def test_takes_n_max_below_the_fock_floor(self, n_max):
         np.testing.assert_array_equal(_log_factorials(n_max), np.zeros(n_max + 1))
+
+
+class TestRealForm:
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3)])
+    def test_real_product_is_the_complex_product(self, shape):
+        rng = np.random.default_rng(shape[0])
+        A = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        R = _real_form(A)
+        assert R.shape == (2 * shape[0], 2 * shape[1]) and R.dtype == float
+        for x in (rng.normal(size=shape[0]) + 1j * rng.normal(size=shape[0]),
+                  rng.normal(size=(4, shape[0])) + 1j * rng.normal(size=(4, shape[0]))):
+            ref = (x @ A).view(float)
+            assert np.max(np.abs(x.view(float) @ R - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 class TestLadderExponential:

@@ -59,11 +59,11 @@ def zero_current_model():
     return AtomFieldModel(2, h_ato=np.diag([0.5, -0.5]), j=np.zeros((2, 2)), omega=1.0)
 
 
-def _reference_rhs(stepper, t, psi):
+def _reference_rhs(stepper, t, psi, mu):
     """The grid RHS written term by term, in five transforms of d planes.
 
     -i(a* psi J^T + a/2 psi J+^T + d*psi J+^T) - mu D+ D psi, with the coupling
-    and the damping read from ``stepper`` at call time.
+    read from ``stepper`` at call time.
     """
     grid = stepper.grid
     nodes = grid.nodes()
@@ -78,11 +78,15 @@ def _reference_rhs(stepper, t, psi):
     dstar = sfft.ifft2(s_dastar * ft, axes=(0, 1))
     da = sfft.ifft2(s_da * ft, axes=(0, 1))
     out = -1j * (ac * (psi @ jt.T) + 0.5 * a * (psi @ jdt.T) + dstar @ jdt.T)
-    if stepper.damping:
-        v = da + 0.5 * ac * psi
-        dstar_v = sfft.ifft2(s_dastar * sfft.fft2(v, axes=(0, 1)), axes=(0, 1))
-        out -= stepper.damping * (-dstar_v + 0.5 * a * v)
-    return out
+    v = da + 0.5 * ac * psi
+    dstar_v = sfft.ifft2(s_dastar * sfft.fft2(v, axes=(0, 1)), axes=(0, 1))
+    return out - mu * (-dstar_v + 0.5 * a * v)
+
+
+def _stepper(model, grid, penalty, monkeypatch):
+    """A ``GridStepper`` built with ``swe._PENALTY`` set to ``penalty``, and its mu."""
+    monkeypatch.setattr(swe, "_PENALTY", penalty)
+    return GridStepper(model, grid), penalty * np.linalg.norm(model.j, 2)
 
 
 def _random_wave(rng, grid, d):
@@ -295,7 +299,7 @@ class TestGridStepper:
         stepped = evolve_swe(zero_current_model(), wave, TimeGrid(0.0, 1e-2, 1e-2))[-1]
         np.testing.assert_allclose(stepped.values, wave.values, atol=1e-14)
 
-    def test_multiplication_term_is_node_local(self, grid64):
+    def test_multiplication_term_is_node_local(self, grid64, monkeypatch):
         # with the adjoint coupling artificially removed the dynamics is a
         # pointwise matrix exponential; on the real axis the generator is
         # Hermitian there, so the local norm is a constant of motion
@@ -308,10 +312,10 @@ class TestGridStepper:
                 jt, _ = super()._coupling(t)
                 return jt, np.zeros_like(jt)
 
-        # no derivative term survives, so the transverse damping is moot;
-        # switching it off makes the node-local closed form exact
+        # no derivative term survives, so the transverse penalty is moot;
+        # building the stepper without it makes the node-local closed form exact
+        monkeypatch.setattr(swe, "_PENALTY", 0.0)
         stepper = LoweringOnly(model, grid64)
-        stepper.damping = 0.0
         wave = initial_wave(EXCITED, grid64)
         dt, n_steps = 1e-3, 100
         _, ys = integrate(lambda t, psi, left: rk4_step(stepper.rhs, t, psi, dt)[None],
@@ -394,21 +398,29 @@ class TestGridStepper:
         assert np.max(np.abs(spectral[-1].values - exact)) <= 1e-4
 
     @pytest.mark.parametrize("which", ["two_level", "detuned", "three_level"])
-    def test_rhs_matches_five_transform_reference(self, which, grid64, request):
+    def test_rhs_matches_five_transform_reference(self, which, grid64, request, monkeypatch):
         model = {"two_level": lambda: two_level_model(g=1.0),
                  "detuned": lambda: two_level_model(g=1.0, detuning=1.5),
                  "three_level": lambda: request.getfixturevalue("three_level_model")}[which]()
         rng = np.random.default_rng(11)
-        stepper = GridStepper(model, grid64)
-        # damping is changed on the same stepper between calls, so a value
-        # folded into a multiplier at construction would show here
-        for damping in (stepper.damping, 0.0, 2.0):
-            stepper.damping = damping
+        # mu is folded into the stepper's multipliers at construction, so each penalty,
+        # the default, none and another, gets a stepper of its own
+        for penalty in (swe._PENALTY, 0.0, 2.0):
+            stepper, mu = _stepper(model, grid64, penalty, monkeypatch)
             for t in (0.0, 0.37, 5.3):
                 psi = _random_wave(rng, grid64, model.atom_dim)
-                ref = _reference_rhs(stepper, t, psi)
+                ref = _reference_rhs(stepper, t, psi, mu)
                 diff = np.max(np.abs(_node_major(stepper.rhs(t, _atom_major(psi))) - ref))
-                assert diff <= 1e-14 * np.max(np.abs(ref)), (damping, t)
+                assert diff <= 1e-14 * np.max(np.abs(ref)), (penalty, t)
+
+    def test_rhs_ignores_the_penalty_set_after_construction(self, grid64, monkeypatch):
+        model = two_level_model(g=1.0)
+        psi = _atom_major(_random_wave(np.random.default_rng(17), grid64, 2))
+        stepper = GridStepper(model, grid64)
+        before = stepper.rhs(0.37, psi)
+        monkeypatch.setattr(swe, "_PENALTY", 0.0)
+        np.testing.assert_array_equal(stepper.rhs(0.37, psi), before)
+        assert np.max(np.abs(GridStepper(model, grid64).rhs(0.37, psi) - before)) > 0
 
     def test_rhs_results_alias_nothing(self, grid64):
         rng = np.random.default_rng(12)
@@ -438,21 +450,21 @@ class TestGridStepper:
 
     @pytest.mark.parametrize("which", ["two_level", "three_level"])
     @pytest.mark.parametrize("L, M, band", [(2.5, 32, 19), (6.0, 32, 32), (8.0, 256, 61)])
-    def test_rhs_matches_reference_across_band_widths(self, which, L, M, band, request):
+    def test_rhs_matches_reference_across_band_widths(self, which, L, M, band, request,
+                                                      monkeypatch):
         # a band narrower than the axis, one that is the whole axis (no padding)
         # and a wide grid whose band is a quarter of it
         model = (two_level_model(g=1.0) if which == "two_level"
                  else request.getfixturevalue("three_level_model"))
         grid = PhaseGrid(L, M)
-        stepper = GridStepper(model, grid)
-        assert stepper._band.size == band
         rng = np.random.default_rng(14)
-        for damping in (stepper.damping, 0.0):
-            stepper.damping = damping
+        for penalty in (swe._PENALTY, 0.0):
+            stepper, mu = _stepper(model, grid, penalty, monkeypatch)
+            assert stepper._band.size == band
             psi = _random_wave(rng, grid, model.atom_dim)
-            ref = _reference_rhs(stepper, 0.37, psi)
+            ref = _reference_rhs(stepper, 0.37, psi, mu)
             diff = np.max(np.abs(_node_major(stepper.rhs(0.37, _atom_major(psi))) - ref))
-            assert diff <= 1e-14 * np.max(np.abs(ref)), damping
+            assert diff <= 1e-14 * np.max(np.abs(ref)), penalty
 
     def test_rhs_does_not_depend_on_the_previous_call(self, grid64):
         # the work buffers keep a call's values, off the band too; the next
@@ -510,14 +522,13 @@ class TestGridStepper:
         monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft))
         for name in ("fft2", "ifft2", "fftn", "ifftn"):
             monkeypatch.setattr(np.fft, name, lambda *args, name=name, **kwargs: two_d.append(name))
-        stepper = GridStepper(model, grid64)
         psi = _atom_major(_random_wave(np.random.default_rng(13), grid64, d))
-        stepper.rhs(0.37, psi)
-        assert sorted(lines) == 4 * [band * d] + 4 * [M * d]
-        lines.clear()
-        stepper.damping = 0.0
-        stepper.rhs(0.37, psi)
-        assert sorted(lines) == 2 * [band * d] + 2 * [M * d]
+        # one path: without the penalty too, a call does all four transforms
+        for penalty in (swe._PENALTY, 0.0):
+            stepper, _ = _stepper(model, grid64, penalty, monkeypatch)
+            lines.clear()
+            stepper.rhs(0.37, psi)
+            assert sorted(lines) == 4 * [band * d] + 4 * [M * d], penalty
         assert two_d == []
 
 
@@ -821,18 +832,24 @@ class TestJaynesCummingsReference:
 
     @pytest.mark.parametrize("solver,detuning", [("oracle", 0.0), ("coefficient", 0.0),
                                                  ("oracle", 1.5), ("coefficient", 1.5),
-                                                 ("grid", 0.0), ("grid", 1.5)],
+                                                 ("grid", 0.0), ("grid", 1.5),
+                                                 ("grid-revival", 0.0)],
                              ids=["oracle", "coefficient", "oracle-detuned",
-                                  "coefficient-detuned", "grid", "grid-detuned"])
+                                  "coefficient-detuned", "grid", "grid-detuned", "grid-revival"])
     def test_excited_population_matches_series(self, solver, detuning):
         # The grid cases are the only grid runs that start above the vacuum, so the
         # only ones that reach Fock levels above 1: the sqrt(n+1) ladder and the
-        # derivative term. Collapse and revival need n̄ 5 to t 16, about 4000 steps
-        # at M 128, too slow for Tier-1; at n̄ 2.25 to t 2 only the series is asserted.
+        # derivative term. At n̄ 2.25 to t 2 only the series is asserted. The revival
+        # case holds the grid backend through the collapse and revival of n̄ 5 to t 16,
+        # the field's memory (Eberly, Narozhny & Sanchez-Mondragon, PRL 44, 1323 (1980)).
         g = 1.0
         model = two_level_model(g=g, detuning=detuning)
         if solver == "grid":
             basis, tgrid, nbar = FockBasis(24), TimeGrid(0.0, 2.0, 4e-3, 50), 2.25
+            grid = PhaseGrid(6.0, 64)
+        elif solver == "grid-revival":
+            basis, tgrid, nbar = FockBasis(30), TimeGrid(0.0, 16.0, 4e-3, 100), 5.0
+            grid = PhaseGrid(7.0, 32)
         else:
             basis, tgrid, nbar = FockBasis(30), TimeGrid(0.0, 16.0, 2.5e-3, 40), 5.0
         c = coherent_amplitudes(np.sqrt(nbar), basis)
@@ -843,8 +860,8 @@ class TestJaynesCummingsReference:
             run = evolve_unitary(model, start, tgrid)
             np.testing.assert_array_equal(run.times, times)
             p_e = np.array([np.sum(np.abs(state.as_matrix()[0]) ** 2) for state in run.states])
-        elif solver == "grid":
-            waves = evolve_swe(model, evaluate_on_grid(start, PhaseGrid(6.0, 64)), tgrid)
+        elif solver.startswith("grid"):
+            waves = evolve_swe(model, evaluate_on_grid(start, grid), tgrid)
             excited = SemiclassicalObservable.constant(1.0, atom_op=np.diag([1.0, 0.0]))
             p_e = np.array([swe_expectation(w, excited) for w in waves])
         else:
@@ -859,8 +876,9 @@ class TestJaynesCummingsReference:
             assert len(times) == 11 and np.min(p_e) < 0.3
             assert np.max(np.abs(p_e - series)) <= 1e-6
             return
-        assert len(times) == 161
-        assert np.max(np.abs(p_e - series)) <= 1e-8
+        count, bound = (41, 1e-6) if solver == "grid-revival" else (161, 1e-8)
+        assert len(times) == count
+        assert np.max(np.abs(p_e - series)) <= bound
         # the collapse settles at the time average of the series (1/2 at resonance)
         plateau = np.abs(c) ** 2 @ (1.0 - 0.5 * weight / rabi ** 2)
         collapse = (times >= 4.0) & (times <= 8.0)

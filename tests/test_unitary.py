@@ -18,6 +18,7 @@ from semicav.swe import GridStepper
 from semicav.unitary import (
     AtomFieldModel,
     TimeGrid,
+    atom_propagator,
     density_operator,
     evolve_unitary,
     integrate,
@@ -43,6 +44,20 @@ def rabi_setup(g=1.0, n_max=8, detuning=0.0):
     space = CompositeSpace(2, FockBasis(n_max))
     psi0 = product_initial_state(EXCITED, vacuum(n_max), space)
     return model, space, psi0
+
+
+class TestAtomPropagator:
+    def test_matches_matrix_exponential(self, three_level_model):
+        model = three_level_model
+        for t in (0.37, 5.3):
+            expected = expm(-1j * model.h_ato * t)
+            assert np.max(np.abs(atom_propagator(model, t) - expected)) <= 1e-13
+
+    def test_group_property(self, three_level_model):
+        model = three_level_model
+        for t, s in ((0.37, 5.3), (-1.1, 0.4)):
+            product = atom_propagator(model, t) @ atom_propagator(model, s)
+            assert np.max(np.abs(product - atom_propagator(model, t + s))) <= 1e-13
 
 
 class TestRotatedCurrent:
