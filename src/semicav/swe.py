@@ -50,9 +50,9 @@ _PENALTY = 5.0  # mu / ||J||_2 of the transverse penalty, see the module docstri
 
 @dataclass
 class SemiclassicalWave:
-    """Grid wave: ``values`` of shape (M, M, d) over ``grid``, of unit total probability
-    within ``norm_tol``, by default the grid's ``tol``. ``norm_tol`` is kept as given, so
-    that ``dataclasses.replace`` repeats that check; no run reads it."""
+    """Grid wave: atom-major ``values`` of shape (d, M, M) over ``grid``, as ``GridStepper``
+    steps them, of unit total probability within ``norm_tol``, by default the grid's ``tol``.
+    ``norm_tol`` is kept as given, so ``dataclasses.replace`` repeats the check; no run reads it."""
 
     grid: PhaseGrid
     values: np.ndarray
@@ -60,9 +60,8 @@ class SemiclassicalWave:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        M = self.grid.M
-        if self.values.ndim != 3 or self.values.shape[:2] != (M, M):
-            raise ValueError("values must have shape (M, M, d)")
+        if self.values.ndim != 3 or self.values.shape[1:] != (self.grid.M, self.grid.M):
+            raise ValueError("values must have shape (d, M, M)")
         tol = self.grid.tol if self.norm_tol is None else self.norm_tol
         total = self.total_probability()
         if not abs(total - 1.0) <= tol:
@@ -70,7 +69,7 @@ class SemiclassicalWave:
 
     @property
     def atom_dim(self) -> int:
-        return self.values.shape[2]
+        return self.values.shape[0]
 
     def total_probability(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2) * self.grid.weight)
@@ -103,7 +102,7 @@ def initial_wave(psi_ato: np.ndarray, grid_or_basis,
     if isinstance(grid_or_basis, PhaseGrid):
         grid = grid_or_basis
         env = np.exp(-0.5 * np.abs(grid.nodes()) ** 2) / np.sqrt(np.pi)
-        return SemiclassicalWave(grid, env[:, :, None] * psi_ato[None, None, :], norm_tol=norm_tol)
+        return SemiclassicalWave(grid, env * psi_ato[:, None, None], norm_tol=norm_tol)
     if isinstance(grid_or_basis, FockBasis):
         return product_initial_state(psi_ato, np.eye(grid_or_basis.dim)[0],
                                      CompositeSpace(len(psi_ato), grid_or_basis))
@@ -113,16 +112,16 @@ def initial_wave(psi_ato: np.ndarray, grid_or_basis,
 class GridStepper:
     """Precomputed right-hand side of the grid backend, stepped by ``integrate``.
 
-    The iterate is atom-major, ``(d, M, M)``; ``rhs`` is ``-i(a* Jψ + ½a J†ψ + J†∂*ψ)
-    - μ D†Dψ`` with ``D = ∂ + ½a*``, ``D† = -∂* + ½a``. The d×d products commute with the
-    transforms over the node axes, so ``∂*ψ`` and ``μ∂*Dψ`` share one inverse: a call does
-    four transforms of d planes, each only on the band of B fftfreq indices per axis with
-    |k| ≤ ``_K_CUT``: forward, a full pass along the last axis, then the middle one over
-    the band; inverse, the reverse, with the gap zeroed every call. Symbols at ``(B, B)``
-    and node factors ``½a``, ``½a*`` at ``(M, M)`` broadcast over the atom axis. μ =
-    ``_PENALTY``·‖J‖₂ is folded into ``S_∂`` and a ``μ½a*`` factor at construction, so
-    nothing set afterwards changes the RHS. The only grid-sized array a call allocates is
-    its result.
+    The iterate is a wave's ``values``, ``(d, M, M)``; ``rhs`` is ``-i(a* Jψ + ½a J†ψ +
+    J†∂*ψ) - μ D†Dψ`` with ``D = ∂ + ½a*``, ``D† = -∂* + ½a``. The d×d products commute
+    with the transforms over the node axes, so ``∂*ψ`` and ``μ∂*Dψ`` share one inverse: a
+    call does four transforms of d planes, each only on the band of B fftfreq indices per
+    axis with |k| ≤ ``_K_CUT``: forward, a full pass along the last axis, then the middle
+    one over the band; inverse, the reverse, with the gap zeroed every call. Symbols at
+    ``(B, B)`` and node factors ``½a``, ``½a*`` at ``(M, M)`` broadcast over the atom axis.
+    μ = ``_PENALTY``·‖J‖₂ is folded into ``S_∂`` and a ``μ½a*`` factor at construction, so
+    nothing set afterwards changes the RHS. A call reads ψ without copying it, and the only
+    grid-sized array it allocates is its result.
     """
 
     def __init__(self, model: AtomFieldModel, grid: PhaseGrid):
@@ -163,9 +162,9 @@ class GridStepper:
         return out
 
     def _band_fft2(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The band of ``fft2(x)`` over the node axes into ``out``; ``x`` is overwritten."""
+        """The band of ``fft2(x)`` over the node axes into ``out``; ``_v`` takes the first pass."""
         n, g, strip = self._gap.start, self._gap.stop, self._strip
-        x = np.fft.fft(x, axis=2, out=x)
+        x = np.fft.fft(x, axis=2, out=self._v)
         strip[..., :n], strip[..., n:] = x[..., :n], x[..., g:]
         strip = np.fft.fft(strip, axis=1, out=strip)
         out[:, :n], out[:, n:] = strip[:, :n], strip[:, g:]
@@ -181,8 +180,7 @@ class GridStepper:
 
     def rhs(self, t: float, psi: np.ndarray) -> np.ndarray:
         jt, jdt = self._coupling(t)
-        np.copyto(self._v, psi)
-        f = self._band_fft2(self._v, self._f)
+        f = self._band_fft2(psi, self._f)
         g = self._atoms(-1j * jdt, f, self._g)                 # -iJ†F
         w = self._atoms(-1j * jdt, psi, self._w)               # -iJ†ψ
         f *= self._s_da                                        # F is spent after g
@@ -200,15 +198,19 @@ class GridStepper:
 
 
 def _grid_guard(wave: SemiclassicalWave, tol: float, check_boundary: bool):
-    """Per-step checks of the grid backend's atom-major iterate: boundary mass, then norm."""
+    """Per-step checks of the grid backend's (d, M, M) iterate: boundary mass, then norm."""
     grid = wave.grid
-    initial = previous = _boundary_mass(np.abs(wave.values) ** 2, grid)
+
+    def boundary_mass(density):  # _boundary_mass reads the node axes first
+        return _boundary_mass(np.moveaxis(density, 0, -1), grid)
+
+    initial = previous = boundary_mass(np.abs(wave.values) ** 2)
 
     def guard(step, ts, block):  # the grid steps one row at a time
         nonlocal previous
         (t,), (psi,) = ts, block
         density = np.abs(psi) ** 2
-        mass = _boundary_mass(np.moveaxis(density, 0, -1), grid)
+        mass = boundary_mass(density)
         if check_boundary and not mass - previous <= 1e-8:
             raise RuntimeError(f"boundary mass grew by {mass - previous} in one step "
                                f"(step {step}, t={t}); grid too small")
@@ -230,9 +232,9 @@ def evolve_swe(model: AtomFieldModel, wave: SemiclassicalWave | CompositeState,
     first sample is ``wave`` itself, and the sample times are those of ``tgrid``.
 
     A coefficient wave is stepped by ``evolve_unitary`` under its checks. A grid wave is
-    stepped as the atom-major transpose of ``values``; boundary-mass growth, per step and
-    over the run, is held to 1e-8 (unless ``options`` disable it), and unit probability to
-    ``options.norm_tol``, or else ``grid.tol``. ``options`` apply to a grid wave only.
+    stepped from ``values`` and sampled as the iterates themselves; boundary-mass growth, per
+    step and over the run, is held to 1e-8 (unless ``options`` disable it), and unit
+    probability to ``options.norm_tol``, or else ``grid.tol``. ``options`` apply to grids only.
     """
     if isinstance(wave, CompositeState):
         if options is not None:
@@ -242,10 +244,8 @@ def evolve_swe(model: AtomFieldModel, wave: SemiclassicalWave | CompositeState,
     tol = wave.grid.tol if options.norm_tol is None else options.norm_tol
     stepper = GridStepper(model, wave.grid)
     _, ys = integrate(lambda t, psi, left: rk4_step(stepper.rhs, t, psi, tgrid.dt)[None],
-                      wave.values.transpose(2, 0, 1).copy(), tgrid,
-                      _grid_guard(wave, tol, options.check_boundary))
-    return [wave] + [SemiclassicalWave(wave.grid, psi.transpose(1, 2, 0).copy(), norm_tol=tol)
-                     for psi in ys[1:]]
+                      wave.values, tgrid, _grid_guard(wave, tol, options.check_boundary))
+    return [wave] + [SemiclassicalWave(wave.grid, psi, norm_tol=tol) for psi in ys[1:]]
 
 
 def evaluate_on_grid(wave: SemiclassicalWave | CompositeState,
@@ -259,11 +259,11 @@ def evaluate_on_grid(wave: SemiclassicalWave | CompositeState,
         return wave
     scale = np.exp(-0.5 * _log_factorials(wave.space.fock.n_max)) / np.sqrt(np.pi)
     coeffs = wave.coeffs * scale[:, None]
-    conj_a = np.conj(grid.nodes())[:, :, None]
-    values = np.full((grid.M, grid.M, wave.space.atom_dim), coeffs[-1])
+    conj_a = np.conj(grid.nodes())
+    values = np.full((wave.space.atom_dim, grid.M, grid.M), coeffs[-1][:, None, None])
     for c in coeffs[-2::-1]:
         values *= conj_a
-        values += c
+        values += c[:, None, None]
     values *= np.exp(-0.5 * np.abs(conj_a) ** 2)
     return SemiclassicalWave(grid, values)
 
@@ -276,7 +276,7 @@ def _require_grid(wave, what: str) -> None:
 def field_density(wave: SemiclassicalWave) -> PhaseFunction:
     """Probability density of the classical field: the atomic norm squared."""
     _require_grid(wave, "field_density")
-    density = np.sum(np.abs(wave.values) ** 2, axis=2)
+    density = np.sum(np.abs(wave.values) ** 2, axis=0)
     return PhaseFunction(wave.grid, density, kind="husimi")
 
 
@@ -293,27 +293,27 @@ def swe_expectation(wave: SemiclassicalWave, F: SemiclassicalObservable) -> floa
                          "Hermitian within 1e-12")
     sym = F.values_on(wave.grid)
     if F.atom_op is None:
-        dens = np.sum(np.abs(wave.values) ** 2, axis=2)
+        dens = np.sum(np.abs(wave.values) ** 2, axis=0)
     else:
-        dens = np.einsum("xyi,ij,xyj->xy", wave.values.conj(), F.atom_op, wave.values)
+        dens = np.einsum("ixy,ij,jxy->xy", wave.values.conj(), F.atom_op, wave.values)
     return float(np.real(np.sum(sym * dens)) * wave.grid.weight)
 
 
 def sample_field(wave: SemiclassicalWave, count: int, seed: int) -> np.recarray:
     """Draw field values from ||psi(a)||^2 by inverse-CDF on the grid density.
 
-    One categorical distribution over the M^2 nodes, in the C order of
-    ``values.reshape(-1, d)`` and ``grid.nodes().ravel()``: a draw is the first
+    One categorical distribution over the M^2 nodes, in the C order of the columns of
+    ``values.reshape(d, -1)`` and of ``grid.nodes().ravel()``: a draw is the first
     node whose cumulative mass, normalized to end at exactly 1, exceeds one
     uniform in [0, 1), so no node of zero mass is drawn. Fixed seed gives an
     identical sample sequence. Returns records with fields ``a`` (complex) and
     ``conditional_state`` (complex, shape (d,)), each checked to unit norm within 1e-12.
     """
     _require_grid(wave, "sample_field")
-    cdf = np.cumsum(np.sum(np.abs(wave.values) ** 2, axis=2))
+    cdf = np.cumsum(np.sum(np.abs(wave.values) ** 2, axis=0))
     cdf /= cdf[-1]
     nodes = np.searchsorted(cdf, np.random.default_rng(seed).random(count), side="right")
-    vecs = wave.values.reshape(-1, wave.atom_dim)[nodes]
+    vecs = wave.values.reshape(wave.atom_dim, -1)[:, nodes].T
     # the per-vector arithmetic of np.linalg.norm, row by row
     states = vecs / np.sqrt(np.vecdot(vecs.real, vecs.real)
                             + np.vecdot(vecs.imag, vecs.imag))[:, None]
@@ -353,7 +353,7 @@ def compare_to_oracle(wave: SemiclassicalWave | CompositeState, state: Composite
     by node when the wave solves the same dynamics as the state.
     """
     wave = evaluate_on_grid(wave, grid)
-    swe_field = np.einsum("xyi,xyj->xyij", wave.values, wave.values.conj())
+    swe_field = np.einsum("ixy,jxy->xyij", wave.values, wave.values.conj())
     oracle_field = husimi_density(density_operator(state), state.space, grid)
     diff = swe_field - oracle_field.values
     linf = float(np.max(np.abs(diff)))
