@@ -33,7 +33,6 @@ import numpy as np
 
 from semicav.fockspace import CompositeSpace, CompositeState, FockBasis, _log_factorials
 from semicav.phasespace import (
-    OperatorPhaseField,
     PhaseFunction,
     PhaseGrid,
     SemiclassicalObservable,
@@ -121,7 +120,8 @@ class GridStepper:
     ``(B, B)`` and node factors ``½a``, ``½a*`` at ``(M, M)`` broadcast over the atom axis.
     μ = ``_PENALTY``·‖J‖₂ is folded into ``S_∂`` and a ``μ½a*`` factor at construction, so
     nothing set afterwards changes the RHS. A call reads ψ without copying it, and the only
-    grid-sized array it allocates is its result.
+    grid-sized array it allocates is its result. ``(J, J†)`` of the last stage time is kept,
+    as RK4 evaluates its midpoint twice.
     """
 
     def __init__(self, model: AtomFieldModel, grid: PhaseGrid):
@@ -141,6 +141,7 @@ class GridStepper:
         self._f, self._g = (np.empty((d, band.size, band.size), dtype=complex) for _ in range(2))
         self._strip = np.empty((d, M, band.size), dtype=complex)
         self._v, self._w, self._tmp = (np.empty((d, M, M), dtype=complex) for _ in range(3))
+        self._last = (None, None, None)  # (t, j, j+) of the last call; RK4 repeats its midpoint
 
     def _coupling(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Current operator and its adjoint at a stage time (test seam)."""
@@ -179,7 +180,9 @@ class GridStepper:
         return np.fft.ifft(out, axis=2, out=out)
 
     def rhs(self, t: float, psi: np.ndarray) -> np.ndarray:
-        jt, jdt = self._coupling(t)
+        if t != self._last[0]:
+            self._last = (t, *self._coupling(t))
+        _, jt, jdt = self._last
         f = self._band_fft2(psi, self._f)
         g = self._atoms(-1j * jdt, f, self._g)                 # -iJ†F
         w = self._atoms(-1j * jdt, psi, self._w)               # -iJ†ψ
@@ -355,14 +358,16 @@ def compare_to_oracle(wave: SemiclassicalWave | CompositeState, state: Composite
     wave = evaluate_on_grid(wave, grid)
     swe_field = np.einsum("ixy,jxy->xyij", wave.values, wave.values.conj())
     oracle_field = husimi_density(density_operator(state), state.space, grid)
-    diff = swe_field - oracle_field.values
-    linf = float(np.max(np.abs(diff)))
-    l2 = float(np.sqrt(np.sum(np.abs(diff) ** 2) * grid.weight))
-    swe_op = OperatorPhaseField(grid, swe_field, kind="husimi")
+    dist = np.abs(swe_field - oracle_field.values)
+    linf = float(np.max(dist))
+    l2 = float(np.sqrt(np.sum(dist ** 2) * grid.weight))
+    # each field's atomic trace, formed once for its four moments
+    swe_tr, orc_tr = (PhaseFunction(grid, np.einsum("xyii->xy", f))
+                      for f in (swe_field, oracle_field.values))
     moments = {}
     for name, (j, k) in _MOMENT_POWERS.items():
-        m_swe = phase_space_moment(swe_op, j, k)
-        m_orc = phase_space_moment(oracle_field, j, k)
+        m_swe = phase_space_moment(swe_tr, j, k)
+        m_orc = phase_space_moment(orc_tr, j, k)
         moments[name] = {"swe": {"re": m_swe.real, "im": m_swe.imag},
                          "oracle": {"re": m_orc.real, "im": m_orc.imag},
                          "delta": abs(m_swe - m_orc)}

@@ -414,6 +414,66 @@ class TestHusimi:
         assert shapes == [(18, 18)]
 
 
+def coherent_product(beta, atom, n_max):
+    """|atom> (x) |beta> as a density operator, the coherent amplitudes from their series."""
+    field = [np.exp(-abs(beta) ** 2 / 2) * beta ** n / np.sqrt(float(factorial(n)))
+             for n in range(n_max + 1)]
+    v = np.kron(atom, field)
+    return np.outer(v, v.conj())
+
+
+def coherent_husimi(grid, beta, rho_ato):
+    """Closed form of the Husimi density of ``coherent_product``: e^{-|a - beta|^2}/pi rho_ato."""
+    gauss = np.exp(-np.abs(grid.nodes() - beta) ** 2) / np.pi
+    return gauss[:, :, None, None] * rho_ato
+
+
+class TestHusimiClosedForms:
+    # Truncation at n_max 30 leaves under 1e-20 of the series on L = 5 grids
+    grid = PhaseGrid(5.0, 64)
+    space = CompositeSpace(2, FockBasis(30))
+
+    @staticmethod
+    def atom_state(rng):
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        return v / np.linalg.norm(v)
+
+    def test_coherent_product(self):
+        atom = self.atom_state(np.random.default_rng(51))
+        beta = 1.2 - 0.7j
+        field = husimi_density(coherent_product(beta, atom, 30), self.space, self.grid)
+        expected = coherent_husimi(self.grid, beta, np.outer(atom, atom.conj()))
+        assert np.max(np.abs(field.values - expected)) <= 1e-14
+
+    def test_rank_two_mixture(self):
+        # both eigenpairs carry weight: keeping only the largest misses the smaller one
+        rng = np.random.default_rng(52)
+        atoms = [self.atom_state(rng) for _ in range(2)]
+        betas = (1.2 - 0.7j, -0.9 + 0.4j)
+        rho = sum(p * coherent_product(b, v, 30) for p, b, v in zip((0.6, 0.4), betas, atoms))
+        field = husimi_density(rho, self.space, self.grid)
+        expected = sum(p * coherent_husimi(self.grid, b, np.outer(v, v.conj()))
+                       for p, b, v in zip((0.6, 0.4), betas, atoms))
+        assert np.max(np.abs(field.values - expected)) <= 1e-14
+
+    def test_slightly_negative_eigenvalue_is_kept(self):
+        # the input check accepts an eigenvalue of -5e-11; clamping it would move the
+        # node matrices by about 1e-11, far beyond the bound
+        rng = np.random.default_rng(53)
+        space, grid = CompositeSpace(2, FockBasis(8)), PhaseGrid(5.0, 32)
+        U, _ = np.linalg.qr(rng.normal(size=(18, 18)) + 1j * rng.normal(size=(18, 18)))
+        weights = np.zeros(18)
+        weights[:4] = 0.5, 0.3, 0.2 + 5e-11, -5e-11
+        rho = (U * weights) @ U.conj().T
+        assert np.min(np.linalg.eigvalsh(rho)) == pytest.approx(-5e-11, rel=1e-6)
+        a = grid.nodes()[:, :, None]
+        n = np.arange(9)
+        C = np.exp(-0.5 * np.abs(a) ** 2) * a ** n / np.sqrt([float(factorial(k)) for k in n])
+        vals = np.einsum("xym,imjn,xyn->xyij", C.conj(), rho.reshape(2, 9, 2, 9), C) / np.pi
+        vals = 0.5 * (vals + vals.conj().transpose(0, 1, 3, 2))
+        assert np.max(np.abs(husimi_density(rho, space, grid).values - vals)) <= 1e-14
+
+
 class TestExpectations:
     def test_unit_observable(self, default_grid):
         q = husimi_function(fock_density(0, 8), default_grid)
@@ -528,6 +588,24 @@ class TestMomentOracle:
         number = space.field_operator(number_operator(basis))
         exact = float(np.real(np.trace(number @ rho)))
         assert photon_number_from_husimi(q) == pytest.approx(exact, abs=1e-4)
+
+
+class TestMonomials:
+    @pytest.mark.parametrize("j, k", [(j, k) for j in range(5) for k in range(5 - j)])
+    def test_match_complex_power(self, j, k):
+        grid = PhaseGrid(5.0, 32)
+        a = grid.nodes()
+        ref = np.power(a, j) * np.power(np.conj(a), k)
+        c = 0.3 - 0.7j
+        values = SemiclassicalObservable.from_poly({(j, k): c}).values_on(grid)
+        assert np.all(np.abs(values - c * ref) <= 1e-13 * np.abs(c * ref))
+        rng = np.random.default_rng(61)
+        ops = rng.normal(size=(32, 32, 2, 2)) + 1j * rng.normal(size=(32, 32, 2, 2))
+        trace = np.einsum("xyii->xy", ops)
+        scale = np.sum(np.abs(ref * trace)) * grid.weight
+        expected = np.sum(ref * trace) * grid.weight
+        for field in (PhaseFunction(grid, trace), OperatorPhaseField(grid, ops)):
+            assert abs(phase_space_moment(field, j, k) - expected) <= 1e-13 * scale
 
 
 class TestObservableType:

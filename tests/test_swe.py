@@ -9,7 +9,8 @@ from scipy.linalg import expm
 
 from semicav.fockspace import (CompositeSpace, CompositeState, FockBasis, coherent_amplitudes,
                                partial_trace_field)
-from semicav.phasespace import (PhaseFunction, PhaseGrid, SemiclassicalObservable, coarse_grain,
+from semicav.phasespace import (OperatorPhaseField, PhaseFunction, PhaseGrid,
+                                SemiclassicalObservable, coarse_grain, husimi_density,
                                 phase_space_moment)
 from semicav import swe, unitary
 from semicav.swe import (
@@ -416,6 +417,20 @@ class TestGridStepper:
         monkeypatch.setattr(swe, "_PENALTY", 0.0)
         np.testing.assert_array_equal(stepper.rhs(0.37, psi), before)
         assert np.max(np.abs(GridStepper(model, grid64).rhs(0.37, psi) - before)) > 0
+
+    def test_one_current_per_distinct_stage_time(self, grid64, monkeypatch):
+        # RK4 evaluates its midpoint twice; the second evaluation reuses j(t)
+        calls = []
+
+        def counting(model, t):
+            calls.append(t)
+            return unitary.rotated_current(model, t)
+
+        monkeypatch.setattr(swe, "rotated_current", counting)
+        stepper = GridStepper(two_level_model(g=1.0, detuning=0.3), grid64)
+        psi = initial_wave(EXCITED, grid64).values
+        rk4_step(stepper.rhs, 0.2, psi, 4e-3)
+        assert calls == [0.2, 0.2 + 2e-3, 0.2 + 4e-3]
 
     def test_rhs_results_alias_nothing(self, grid64):
         rng = np.random.default_rng(12)
@@ -941,6 +956,20 @@ class TestOracleComparison:
         assert set(payload) == {"linf", "l2", "moments"}
         assert payload["moments"]["|a|^2"]["swe"]["re"] == pytest.approx(
             np.sin(np.pi) ** 2 + 1.0, abs=1e-6)
+
+    def test_moments_are_phase_space_moments_of_each_field(self, grid64):
+        space = CompositeSpace(2, FockBasis(8))
+        atom = np.array([0.6, 0.8j])
+        state = product_initial_state(atom, coherent_amplitudes(0.5 - 0.3j, space.fock), space)
+        report = compare_to_oracle(state, state, grid64)
+        psi = evaluate_on_grid(state, grid64).values
+        fields = {"swe": OperatorPhaseField(grid64, np.einsum("ixy,jxy->xyij", psi, psi.conj())),
+                  "oracle": husimi_density(density_operator(state), space, grid64)}
+        for name, (j, k) in {"1": (0, 0), "a": (1, 0), "a*": (0, 1), "|a|^2": (1, 1)}.items():
+            for side, field in fields.items():
+                m = phase_space_moment(field, j, k)
+                assert report.moments[name][side] == {"re": m.real, "im": m.imag}, (name, side)
+        assert abs(report.moments["a"]["oracle"]["re"] - 0.5) <= 1e-6  # not a vanishing moment
 
     def test_atomic_marginal_matches_partial_trace(self, grid64):
         # quadrature of psi psi+ over the field plane is the reduced atomic
