@@ -174,13 +174,13 @@ def integrate(step: Callable[[float, np.ndarray, int], np.ndarray], y0: np.ndarr
 
     ``guard(n, ts, block)`` runs after each block, whose first row is step n and whose rows
     end at the times ``ts``, and raises to abort the run. Returns the sample times
-    (``t_start`` included) and the arrays at those times; the first is a copy of ``y0``,
-    the others are rows of the blocks, and rows of different blocks alias nothing as long
-    as ``step`` returns a fresh stack.
+    (``t_start`` included) and the arrays at those times; the first is ``y0`` itself, not a
+    copy, so ``step`` must not write into its ``y``. The others are rows of the blocks, and
+    rows of different blocks alias nothing, nor ``y0``, as long as ``step`` returns a fresh
+    stack.
     """
-    y = np.array(y0)
-    t, n, stride = tgrid.t_start, 0, tgrid.sample_stride
-    times, ys = [t], [y]
+    y, t, n, stride = y0, tgrid.t_start, 0, tgrid.sample_stride
+    times, ys = [t], [y0]
     while n < tgrid.n_steps:
         block = step(t, y, tgrid.n_steps - n)
         ts = tgrid.t_start + np.arange(n + 1, n + 1 + len(block)) * tgrid.dt

@@ -221,10 +221,17 @@ class TestRabiCommand:
     def test_timeseries_and_report(self, tmp_path, monkeypatch, backend, L, M):
         couplings = count_calls(monkeypatch, unitary, "integrate_coupling")
         swe_runs = count_calls(monkeypatch, swe, "evolve_swe")
+        comparisons = count_calls(monkeypatch, swe, "compare_to_oracle")
+        expectations = count_calls(monkeypatch, swe, "swe_expectation")
+        observables = count_calls(monkeypatch, phasespace.SemiclassicalObservable,
+                                  "__post_init__")
         config = small_config(tmp_path, swe_backend=backend, grid={"L": L, "M": M})
         report = cmd_rabi(config)
         # one oracle run; the coefficient backend's waves are its states
         assert (len(couplings), len(swe_runs)) == (1, int(backend == "grid"))
+        # one readout per sample, from the comparison and the amplitudes alone
+        assert len(comparisons) == len(report["rows"])
+        assert (len(expectations), len(observables)) == (0, 0)
         header, columns, rows = read_csv(Path(config.output_dir) / "rabi_timeseries.csv")
         assert f"backend={backend}" in header
         assert columns[0] == "t" and "P_e_oracle" in columns
@@ -240,6 +247,26 @@ class TestRabiCommand:
         times = [r["t"] for r in payload["rows"]]
         assert times == sorted(times)
         assert payload["config"]["model"]["atom_dim"] == 2
+
+    # the largest deviations read 4.4e-12 and 2.1e-10 (coefficient), 5.5e-14 and 4.1e-13 (grid)
+    @pytest.mark.parametrize("backend, L, dt, t_end, stride, p_tol, n_tol", [
+        ("bargmann", 5.0, 1e-3, 0.5, 100, 1e-10, 1e-8),
+        ("grid", 8.0, 4e-3, 0.4, 25, 1e-12, 1e-11),
+    ], ids=["bargmann", "grid"])
+    def test_every_level_on_three_levels(self, tmp_path, three_level_model, backend, L, dt,
+                                         t_end, stride, p_tol, n_tol):
+        config = small_config(tmp_path, swe_backend=backend, fock={"n_max": 10},
+                              grid={"L": L, "M": 64},
+                              time={"t_end": t_end, "dt": dt, "sample_stride": stride})
+        config.model = three_level_model
+        rows = cmd_rabi(config)["rows"]
+        assert len(rows) == round(t_end / dt) // stride + 1
+        for row in rows:
+            p_swe, p_oracle = row["P_atomic_levels_swe"], row["P_atomic_levels_oracle"]
+            assert len(p_swe) == len(p_oracle) == 3
+            np.testing.assert_allclose(p_swe, p_oracle, rtol=0, atol=p_tol)
+            assert abs(row["n_swe_via_noise_subtraction"] - row["n_oracle"]) <= n_tol
+            assert abs(sum(p_swe) - row["comparison"]["moments"]["1"]["swe"]["re"]) <= 1e-15
 
     def test_runs_at_the_preflight_limit(self, tmp_path):
         # dt ||H_I|| = 0.0495 passes the 0.05 refusal; both pictures then hold the run
