@@ -489,8 +489,7 @@ def photon_number_from_husimi(Q: PhaseFunction) -> float:
     """
     if Q.kind != "husimi":
         raise ValueError("photon-number extraction requires a husimi-kind function")
-    a = Q.grid.nodes()
-    return float(np.sum(np.abs(a) ** 2 * Q.values) * Q.grid.weight - 1.0)
+    return phase_space_moment(Q, 1, 1).real - 1.0
 
 
 def symmetric_moment_oracle(poly: SemiclassicalObservable, rho: np.ndarray,

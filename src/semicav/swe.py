@@ -242,7 +242,7 @@ def evolve_swe(model: AtomFieldModel, wave: SemiclassicalWave | CompositeState,
     if isinstance(wave, CompositeState):
         if options is not None:
             raise ValueError("GridOptions apply to grid waves only, not to a coefficient wave")
-        return [wave] + evolve_unitary(model, wave, tgrid).states[1:]
+        return evolve_unitary(model, wave, tgrid).states
     options = options or GridOptions()
     tol = wave.grid.tol if options.norm_tol is None else options.norm_tol
     stepper = GridStepper(model, wave.grid)

@@ -210,7 +210,7 @@ def integrate_coupling(model: AtomFieldModel, Y0: np.ndarray,
     iterates on the calling thread. Their Fock populations are those of Psi_n; the first
     row whose top-Fock population exceeds 1e-8, or whose total probability deviates from 1
     by more than ``NORM_TOL``, raises, naming its step and time. The samples are shaped
-    like Y0; the first is a copy of it.
+    like Y0; the first is Y0 itself, not a copy.
     """
     d, nf = Y0.shape
     D = d * nf
@@ -250,13 +250,12 @@ def integrate_coupling(model: AtomFieldModel, Y0: np.ndarray,
         return (y.view(float) @ R[:, :2 * D * k]).view(complex).reshape(k, D)
 
     times, ys = integrate(block, U0(tgrid.t_start) @ Y0.ravel(), tgrid, guard)
-    return times, [np.array(Y0)] + [(U0(-t) @ y).reshape(d, nf)
-                                    for t, y in zip(times[1:], ys[1:])]
+    return times, [Y0] + [(U0(-t) @ y).reshape(d, nf) for t, y in zip(times[1:], ys[1:])]
 
 
 def evolve_unitary(model: AtomFieldModel, psi0: CompositeState, grid: TimeGrid) -> Trajectory:
     """Integrate dPsi/dt = -i H_I(t) Psi and sample along the way, under the checks of
-    ``integrate_coupling``."""
+    ``integrate_coupling``; the first state is ``psi0`` itself."""
     times, ys = integrate_coupling(model, psi0.as_matrix(), grid)
-    return Trajectory(times=times, states=[CompositeState(psi0.space, Y.ravel(), norm_tol=NORM_TOL)
-                                           for Y in ys])
+    return Trajectory(times=times, states=[psi0] + [
+        CompositeState(psi0.space, Y.ravel(), norm_tol=NORM_TOL) for Y in ys[1:]])

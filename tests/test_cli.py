@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from math import factorial
 from pathlib import Path
 
 import numpy as np
@@ -43,17 +44,24 @@ def small_config(tmp_path, **overrides):
 
 
 def count_calls(monkeypatch, module, name):
-    """Wrap ``module.name`` so that each call is recorded; returns the list of calls."""
+    """Wrap ``module.name`` so that each call is recorded; returns the list of the
+    positional arguments of each call."""
     calls = []
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls
 
+
+# the names of verify's checks, in the order verify.json lists them
+VERIFY_CHECKS = ["superop_commutativity", "characteristic_two_routes", "husimi_two_routes",
+                 "sharp_moment_identity", "coarse_moment_identity", "number_shift_identity",
+                 "photon_number_identity", "swe_density_equivalence", "total_probability",
+                 "swe_expectation_match"]
 
 finite = st.floats(-1e3, 1e3, allow_nan=False)
 
@@ -414,14 +422,24 @@ class TestVerifyCommand:
     def test_default_config_passes(self, tmp_path, monkeypatch, L, M, backend):
         couplings = count_calls(monkeypatch, unitary, "integrate_coupling")
         swe_runs = count_calls(monkeypatch, swe, "evolve_swe")
+        comparisons = count_calls(monkeypatch, swe, "compare_to_oracle")
+        long_ways = [count_calls(monkeypatch, module, name) for module, name in (
+            (swe, "swe_expectation"), (phasespace, "photon_number_from_husimi"),
+            (fockspace.CompositeSpace, "field_operator"))]
+        moments = count_calls(monkeypatch, phasespace, "phase_space_moment")
         config = small_config(tmp_path, fock={"n_max": 8}, grid={"L": L, "M": M},
                               swe_backend=backend)
         status, report = cmd_verify(config)
         assert (len(couplings), len(swe_runs)) == (1, int(backend == "grid"))
+        # one readout per check: six sharp and six coarse moments, each from a traced field,
+        # and the SWE's |a|^2 integral from the one comparison
+        assert len(comparisons) == 1
+        assert [len(calls) for calls in long_ways] == [0, 0, 0]
+        assert len(moments) == 12
+        assert not any(isinstance(args[0], phasespace.OperatorPhaseField) for args in moments)
+        assert [c["name"] for c in report["checks"]] == VERIFY_CHECKS
         assert status == 0
         assert report["all_pass"]
-        names = {c["name"] for c in report["checks"]}
-        assert "photon_number_identity" in names
         photon = next(c for c in report["checks"] if c["name"] == "photon_number_identity")
         assert photon["error"] <= 1e-4
         payload = json.loads((Path(config.output_dir) / "verify.json").read_text())
@@ -448,6 +466,24 @@ class TestVerifyCommand:
         assert status == 1
         failed = {c["name"] for c in report["checks"] if not c["pass"]}
         assert failed == {"husimi_two_routes"}
+
+    @pytest.mark.parametrize("backend", ["bargmann", "grid"])
+    def test_wrong_kernel_moment_fails_its_two_checks(self, tmp_path, monkeypatch, backend):
+        # the shared Q side merges no checks: coarse_grain's kernel moment p!/2^p, read as
+        # p!/2^(p+1) (coarse_grain is the one caller of factorial in phasespace), fails the
+        # two checks that go through it; number_shift_identity's operator side is written
+        # out by hand
+        monkeypatch.setattr(phasespace, "factorial", lambda p: factorial(p) / 2)
+        config = small_config(tmp_path, fock={"n_max": 8}, grid={"L": 6.0, "M": 32},
+                              swe_backend=backend)
+        status, report = cmd_verify(config)
+        assert status == 1
+        errors = {c["name"]: c["error"] for c in report["checks"] if not c["pass"]}
+        assert set(errors) == {"coarse_moment_identity", "swe_expectation_match"}
+        # the planted route reads (n + 1/2)/2 + 1/4 for the Q's n + 1, n = sin^2 t at the
+        # quarter period's last step, t = 0.785
+        n = np.sin(0.785) ** 2
+        assert errors["swe_expectation_match"] == pytest.approx((n + 1) / 2, abs=1e-5)
 
 
 class TestFieldSerialization:
