@@ -374,7 +374,7 @@ def _verify_identities(config: ScenarioConfig) -> list[dict]:
 
     # sharp and coarse moment identities, monomials up to degree 2, each read from the
     # field's atomic trace, formed once
-    sharp_tr, q_fn = (phasespace.PhaseFunction(grid, np.einsum("xyii->xy", f.values))
+    sharp_tr, q_fn = (phasespace.PhaseFunction(grid, np.einsum("iixy->xy", f.values))
                       for f in (sharp, direct))
     worst_sharp = worst_coarse = 0.0
     q_moments = {}

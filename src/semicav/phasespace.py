@@ -11,6 +11,9 @@ Conventions, fixed once and used everywhere:
   each node from the closed-form displacement matrix elements on the
   truncated Fock space, so it is exact at the nodes.
 * Dirac deltas of superoperator arguments are never discretized.
+* Every phase-space array holds its atom axes first and its node axes last: a grid
+  wave is (d, M, M) and an operator field (d, d, M, M), so a transform over the node
+  axes broadcasts over the atom axes, and an atomic trace is ``einsum("iixy->xy")``.
 """
 
 from dataclasses import dataclass
@@ -125,7 +128,8 @@ class PhaseFunction:
 
 @dataclass
 class OperatorPhaseField:
-    """Atomic-matrix-valued field: values[ix, iy] is a d x d matrix.
+    """Atomic-matrix-valued field, atom-major: values[i, j] is the (M, M) plane of the
+    node matrices' entry (i, j), so ``values`` has shape (d, d, M, M).
 
     The ``husimi`` kind is Hermitian positive semidefinite node by node. The
     constructor checks only the shape: the transforms check the density
@@ -141,12 +145,11 @@ class OperatorPhaseField:
             raise ValueError(f"unknown kind {self.kind!r}")
         self.values = np.asarray(self.values, dtype=complex)
         M = self.grid.M
-        if self.values.ndim != 4 or self.values.shape[:2] != (M, M) \
-                or self.values.shape[2] != self.values.shape[3]:
-            raise ValueError("values must have shape (M, M, d, d)")
+        if self.values.shape[1:] != self.values.shape[:1] + (M, M):
+            raise ValueError("values must have shape (d, d, M, M)")
 
     def atomic_trace(self) -> PhaseFunction:
-        tr = np.einsum("xyii->xy", self.values)
+        tr = np.einsum("iixy->xy", self.values)
         kind = "husimi" if self.kind == "husimi" else "wigner"
         return PhaseFunction(self.grid, tr.real if kind == "husimi" else tr, kind)
 
@@ -219,13 +222,6 @@ class SemiclassicalObservable:
     @classmethod
     def abs_square(cls):
         return cls.from_poly({(1, 1): 1.0})
-
-    def values_on(self, grid: PhaseGrid) -> np.ndarray:
-        a = grid.nodes()
-        out = np.zeros_like(a, dtype=complex)
-        for (j, k), c in self.poly.items():
-            out += c * _monomial(a, j, k)
-        return out
 
     def degree(self) -> int:
         return max((j + k for j, k in self.poly), default=0)
@@ -349,7 +345,7 @@ def wigner(rho_field: np.ndarray, grid: PhaseGrid) -> PhaseFunction:
     """Wigner function of a field state: the sharp density of a one-level atom."""
     rho_field = np.asarray(rho_field, dtype=complex)
     space = CompositeSpace(1, FockBasis(rho_field.shape[0] - 1))
-    w = sharp_density(rho_field, space, grid).values[:, :, 0, 0]
+    w = sharp_density(rho_field, space, grid).values[0, 0]
     total = float(np.sum(w.real) * grid.weight)
     if not 0.99 <= total <= 1.01:
         raise ValueError(f"quadrature normalization {total}; "
@@ -372,21 +368,22 @@ def sharp_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> Op
     d, nf = space.atom_dim, space.fock.dim
     blocks = rho.reshape(d, nf, d, nf).transpose(1, 3, 0, 2)
     parity = (-1.0) ** np.arange(nf)[:, None, None, None]
-    values = (2.0 / np.pi) * _chi_on_grid(parity * blocks, 2.0 * grid.nodes())
-    _check_grid_covers(np.einsum("xyii->xy", values), grid)
+    chi = _chi_on_grid(parity * blocks, 2.0 * grid.nodes())
+    values = np.moveaxis((2.0 / np.pi) * chi, (0, 1), (2, 3))  # a view, not a copy
+    _check_grid_covers(np.einsum("iixy->xy", values), grid)
     return OperatorPhaseField(grid, values, kind="sharp")
 
 
 def _convolve_with_kernel(values: np.ndarray, grid: PhaseGrid) -> np.ndarray:
-    """Circular FFT convolution with the vacuum kernel sampled on ``grid``, weight h^2."""
+    """Circular FFT convolution of the node axes with the vacuum kernel on ``grid``, weight h^2."""
     kft = np.fft.fft2(np.fft.ifftshift(vacuum_kernel(grid)))
-    extra = (np.s_[:],) * 2 + (None,) * (values.ndim - 2)
-    return np.fft.ifft2(np.fft.fft2(values, axes=(0, 1)) * kft[extra], axes=(0, 1)) * grid.weight
+    return np.fft.ifft2(np.fft.fft2(values) * kft) * grid.weight
 
 
 def _boundary_mass(values: np.ndarray, grid: PhaseGrid) -> float:
+    """Quadrature over the boundary nodes of the largest |value| over the atom axes."""
     mask = grid.boundary_mask()
-    flat = np.abs(values[mask]).reshape(np.count_nonzero(mask), -1).max(axis=1)
+    flat = np.abs(values[..., mask]).reshape(-1, np.count_nonzero(mask)).max(axis=0)
     return float(np.sum(flat) * grid.weight)
 
 
@@ -419,7 +416,8 @@ def coarse_grain(f):
         vals = smoothed.real if kind == "husimi" else smoothed
         return PhaseFunction(grid, vals, kind=kind)
     if isinstance(f, OperatorPhaseField):
-        _check_psd(smoothed, max(1e-10, grid.tol), "smoothed node matrix")
+        _check_psd(np.moveaxis(smoothed, (0, 1), (2, 3)), max(1e-10, grid.tol),
+                   "smoothed node matrix")
         return OperatorPhaseField(grid, smoothed, kind="husimi")
     raise TypeError(f"cannot coarse-grain {type(f).__name__}")
 
@@ -445,7 +443,7 @@ def husimi_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> O
     B = (V * np.sqrt(np.abs(w) / np.pi)).reshape(d, nf, rank) * scale[:, None]
     B_real = _real_form(B.transpose(1, 2, 0).reshape(nf, rank * d))
     points = grid.nodes().ravel()
-    vals = np.empty((points.size, d, d), dtype=complex)
+    vals = np.empty((d, d, points.size), dtype=complex)  # contiguous per entry
     size = max(1, min(_GEMM_MACS // B_real.size, _BLOCK_BYTES // (16 * (nf + 2 * rank * d))))
     E = np.empty((size, nf), dtype=complex)
     for start in range(0, points.size, size):
@@ -456,13 +454,13 @@ def husimi_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> O
             np.multiply(e[:, n - 1], ac, out=e[:, n])
         phi = (e.view(float) @ B_real).view(complex).reshape(-1, rank, d)
         signed = phi.conj() * np.sign(w)[:, None]
-        q = vals[start:start + size]
         for i in range(d):
             for j in range(d):
-                np.multiply(phi[:, 0, i], signed[:, 0, j], out=q[:, i, j])
+                q = vals[i, j, start:start + size]
+                np.multiply(phi[:, 0, i], signed[:, 0, j], out=q)
                 for r in range(1, rank):
-                    q[:, i, j] += phi[:, r, i] * signed[:, r, j]
-    return OperatorPhaseField(grid, vals.reshape(grid.M, grid.M, d, d), kind="husimi")
+                    q += phi[:, r, i] * signed[:, r, j]
+    return OperatorPhaseField(grid, vals.reshape(d, d, grid.M, grid.M), kind="husimi")
 
 
 def husimi_function(rho_field: np.ndarray, grid: PhaseGrid) -> PhaseFunction:
@@ -475,7 +473,7 @@ def husimi_function(rho_field: np.ndarray, grid: PhaseGrid) -> PhaseFunction:
 def phase_space_moment(field, j: int, k: int) -> complex:
     """Complex moment int a^j (a*)^k f(a) dx dy of a scalar or operator field."""
     if isinstance(field, OperatorPhaseField):
-        vals = np.einsum("xyii->xy", field.values)
+        vals = np.einsum("iixy->xy", field.values)
     else:
         vals = field.values
     return complex(np.sum(_monomial(field.grid.nodes(), j, k) * vals) * field.grid.weight)

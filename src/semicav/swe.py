@@ -203,17 +203,13 @@ class GridStepper:
 def _grid_guard(wave: SemiclassicalWave, tol: float, check_boundary: bool):
     """Per-step checks of the grid backend's (d, M, M) iterate: boundary mass, then norm."""
     grid = wave.grid
-
-    def boundary_mass(density):  # _boundary_mass reads the node axes first
-        return _boundary_mass(np.moveaxis(density, 0, -1), grid)
-
-    initial = previous = boundary_mass(np.abs(wave.values) ** 2)
+    initial = previous = _boundary_mass(np.abs(wave.values) ** 2, grid)
 
     def guard(step, ts, block):  # the grid steps one row at a time
         nonlocal previous
         (t,), (psi,) = ts, block
         density = np.abs(psi) ** 2
-        mass = boundary_mass(density)
+        mass = _boundary_mass(density, grid)
         if check_boundary and not mass - previous <= 1e-8:
             raise RuntimeError(f"boundary mass grew by {mass - previous} in one step "
                                f"(step {step}, t={t}); grid too small")
@@ -284,8 +280,8 @@ def field_density(wave: SemiclassicalWave) -> PhaseFunction:
 
 
 def swe_expectation(wave: SemiclassicalWave, F: SemiclassicalObservable) -> float:
-    """Quadrature of psi+ F(a, a*) psi over the grid, for a Hermitian ``F`` only: the
-    result is real when c_jk = conj(c_kj) and ``atom_op`` is Hermitian, both within 1e-12."""
+    """Sum of c_jk times the moment (j, k) of psi+ psi (or psi+ atom_op psi), for a Hermitian
+    ``F`` only: real when c_jk = conj(c_kj) and ``atom_op`` is Hermitian, both within 1e-12."""
     _require_grid(wave, "swe_expectation")
     if not all(abs(c - np.conj(F.poly.get((k, j), 0.0))) <= 1e-12
                for (j, k), c in F.poly.items()):
@@ -294,12 +290,12 @@ def swe_expectation(wave: SemiclassicalWave, F: SemiclassicalObservable) -> floa
     if F.atom_op is not None and not np.max(np.abs(F.atom_op - F.atom_op.conj().T)) <= 1e-12:
         raise ValueError("swe_expectation needs a Hermitian observable; atom_op is not "
                          "Hermitian within 1e-12")
-    sym = F.values_on(wave.grid)
     if F.atom_op is None:
         dens = np.sum(np.abs(wave.values) ** 2, axis=0)
     else:
         dens = np.einsum("ixy,ij,jxy->xy", wave.values.conj(), F.atom_op, wave.values)
-    return float(np.real(np.sum(sym * dens)) * wave.grid.weight)
+    f = PhaseFunction(wave.grid, dens)
+    return float(sum(c * phase_space_moment(f, j, k) for (j, k), c in F.poly.items()).real)
 
 
 def sample_field(wave: SemiclassicalWave, count: int, seed: int) -> np.recarray:
@@ -356,13 +352,13 @@ def compare_to_oracle(wave: SemiclassicalWave | CompositeState, state: Composite
     by node when the wave solves the same dynamics as the state.
     """
     wave = evaluate_on_grid(wave, grid)
-    swe_field = np.einsum("ixy,jxy->xyij", wave.values, wave.values.conj())
+    swe_field = np.einsum("ixy,jxy->ijxy", wave.values, wave.values.conj())
     oracle_field = husimi_density(density_operator(state), state.space, grid)
     dist = np.abs(swe_field - oracle_field.values)
     linf = float(np.max(dist))
     l2 = float(np.sqrt(np.sum(dist ** 2) * grid.weight))
     # each field's atomic trace, formed once for its four moments
-    swe_tr, orc_tr = (PhaseFunction(grid, np.einsum("xyii->xy", f))
+    swe_tr, orc_tr = (PhaseFunction(grid, np.einsum("iixy->xy", f))
                       for f in (swe_field, oracle_field.values))
     moments = {}
     for name, (j, k) in _MOMENT_POWERS.items():

@@ -485,6 +485,29 @@ class TestVerifyCommand:
         n = np.sin(0.785) ** 2
         assert errors["swe_expectation_match"] == pytest.approx((n + 1) / 2, abs=1e-5)
 
+    @pytest.mark.parametrize("backend", ["bargmann", "grid"])
+    def test_parity_on_the_column_index_fails_its_two_checks(self, tmp_path, monkeypatch,
+                                                             backend):
+        # blocks times (-1)^n (-1)^m move sharp_density's parity from the row index n of
+        # B_nm to the column index m, which gives W(-a): the sharp odd moments flip sign,
+        # and its smoothing no longer meets the direct Husimi density; the SWE checks read
+        # no sharp density
+        chi_on_grid = phasespace._chi_on_grid
+
+        def column_parity(blocks, lam):
+            n = np.arange(blocks.shape[0])
+            return chi_on_grid(blocks * ((-1.0) ** np.add.outer(n, n))[:, :, None, None], lam)
+
+        monkeypatch.setattr(phasespace, "_chi_on_grid", column_parity)
+        config = small_config(tmp_path, fock={"n_max": 8}, grid={"L": 6.0, "M": 32},
+                              swe_backend=backend)
+        status, report = cmd_verify(config)
+        assert status == 1
+        errors = {c["name"]: c["error"] for c in report["checks"] if not c["pass"]}
+        assert set(errors) == {"husimi_two_routes", "sharp_moment_identity"}
+        assert errors["husimi_two_routes"] == pytest.approx(0.156, abs=5e-4)
+        assert errors["sharp_moment_identity"] == pytest.approx(1.21, abs=5e-3)
+
 
 class TestFieldSerialization:
     def test_scalar_field_round_trip(self, tmp_path):

@@ -201,7 +201,7 @@ class TestSharpDensity:
         rho = tensor(rho_ato, fock_density(0, 8))
         field = sharp_density(rho, space, default_grid)
         gauss = (2.0 / np.pi) * np.exp(-2.0 * np.abs(default_grid.nodes()) ** 2)
-        expected = gauss[:, :, None, None] * rho_ato[None, None, :, :]
+        expected = rho_ato[:, :, None, None] * gauss
         assert np.max(np.abs(field.values - expected)) <= 1e-10
 
     def test_atomic_trace_is_field_wigner(self, default_grid):
@@ -217,8 +217,22 @@ class TestSharpDensity:
         space = CompositeSpace(2, FockBasis(8))
         rho = random_composite_density(rng, 2, 8)
         field = sharp_density(rho, space, default_grid)
-        quadrature = np.sum(field.values, axis=(0, 1)) * default_grid.weight
+        quadrature = np.sum(field.values, axis=(2, 3)) * default_grid.weight
         np.testing.assert_allclose(quadrature, partial_trace_field(rho, space), atol=1e-6)
+
+
+class TestOperatorFieldLayout:
+    def test_fields_are_atom_major(self):
+        # every operator field holds its d x d axes first and its node axes last, like a
+        # grid wave; a node-major array is refused, not read with its axes mixed up
+        grid = PhaseGrid(5.0, 32)
+        space = CompositeSpace(3, FockBasis(6))
+        rho = random_composite_density(np.random.default_rng(71), 3, 6, edge_margin=3)
+        sharp = sharp_density(rho, space, grid)
+        for field in (sharp, husimi_density(rho, space, grid), coarse_grain(sharp)):
+            assert field.values.shape == (3, 3, 32, 32)
+        with pytest.raises(ValueError, match=r"values must have shape \(d, d, M, M\)"):
+            OperatorPhaseField(grid, np.zeros((32, 32, 3, 3)))
 
 
 class TestChiOnGrid:
@@ -290,7 +304,7 @@ class TestCoarseGrain:
         # atomic level smooths to node matrices with an eigenvalue <= -1/pi at a = 0
         rho = random_composite_density(np.random.default_rng(14), 2, 8, edge_margin=4)
         values = sharp_density(rho, CompositeSpace(2, FockBasis(8)), default_grid).values
-        values[..., 1, 1] -= 2.0 * wigner(fock_density(0, 8), default_grid).values
+        values[1, 1] -= 2.0 * wigner(fock_density(0, 8), default_grid).values
         with pytest.raises(ValueError, match="smoothed node matrix not positive semidefinite"):
             coarse_grain(OperatorPhaseField(default_grid, values, kind="sharp"))
 
@@ -312,7 +326,7 @@ class TestHusimi:
         space = CompositeSpace(2, FockBasis(8))
         field = husimi_density(tensor(rho_ato, fock_density(0, 8)), space, default_grid)
         gauss = np.exp(-np.abs(default_grid.nodes()) ** 2) / np.pi
-        expected = gauss[:, :, None, None] * rho_ato[None, None, :, :]
+        expected = rho_ato[:, :, None, None] * gauss
         assert np.max(np.abs(field.values - expected)) <= 1e-12
 
     def test_positivity_random_states(self, default_grid):
@@ -321,7 +335,7 @@ class TestHusimi:
         for _ in range(50):
             rho = random_composite_density(rng, 2, 8)
             field = husimi_density(rho, space, default_grid)
-            eigs = np.linalg.eigvalsh(field.values)
+            eigs = np.linalg.eigvalsh(np.moveaxis(field.values, (0, 1), (2, 3)))
             assert eigs.min() >= -1e-10
 
     def test_two_routes_agree(self, default_grid):
@@ -358,8 +372,8 @@ class TestHusimi:
         a = grid.nodes()[:, :, None]
         n = np.arange(11)
         C = np.exp(-0.5 * np.abs(a) ** 2) * a ** n / np.sqrt([float(factorial(k)) for k in n])
-        vals = np.einsum("xym,imjn,xyn->xyij", C.conj(), rho.reshape(3, 11, 3, 11), C) / np.pi
-        vals = 0.5 * (vals + vals.conj().transpose(0, 1, 3, 2))
+        vals = np.einsum("xym,imjn,xyn->ijxy", C.conj(), rho.reshape(3, 11, 3, 11), C) / np.pi
+        vals = 0.5 * (vals + vals.conj().transpose(1, 0, 2, 3))
         # blocks at the module's GEMM size, and of 100 nodes with a partial last block
         for macs in (phasespace._GEMM_MACS, 100 * (2 * 11) * (2 * 9 * 11)):
             monkeypatch.setattr(phasespace, "_GEMM_MACS", macs)
@@ -425,7 +439,7 @@ def coherent_product(beta, atom, n_max):
 def coherent_husimi(grid, beta, rho_ato):
     """Closed form of the Husimi density of ``coherent_product``: e^{-|a - beta|^2}/pi rho_ato."""
     gauss = np.exp(-np.abs(grid.nodes() - beta) ** 2) / np.pi
-    return gauss[:, :, None, None] * rho_ato
+    return rho_ato[:, :, None, None] * gauss
 
 
 class TestHusimiClosedForms:
@@ -445,8 +459,9 @@ class TestHusimiClosedForms:
         expected = coherent_husimi(self.grid, beta, np.outer(atom, atom.conj()))
         assert np.max(np.abs(field.values - expected)) <= 1e-14
 
-    def test_rank_two_mixture(self):
-        # both eigenpairs carry weight: keeping only the largest misses the smaller one
+    def rank_two_error(self):
+        """Largest node error of husimi_density against the closed form of a two-term
+        mixture of coherent products, whose atom states differ."""
         rng = np.random.default_rng(52)
         atoms = [self.atom_state(rng) for _ in range(2)]
         betas = (1.2 - 0.7j, -0.9 + 0.4j)
@@ -454,7 +469,23 @@ class TestHusimiClosedForms:
         field = husimi_density(rho, self.space, self.grid)
         expected = sum(p * coherent_husimi(self.grid, b, np.outer(v, v.conj()))
                        for p, b, v in zip((0.6, 0.4), betas, atoms))
-        assert np.max(np.abs(field.values - expected)) <= 1e-14
+        return np.max(np.abs(field.values - expected))
+
+    def test_rank_two_mixture(self):
+        # both eigenpairs carry weight: keeping only the largest misses the smaller one
+        assert self.rank_two_error() <= 1e-14
+
+    def test_rank_two_mixture_sees_a_dropped_eigenpair(self, monkeypatch):
+        # planted defect: a factorization that keeps only the largest |w| (the others
+        # read as zero, so husimi_density drops them) fails the closed form by 0.098
+        eigh = np.linalg.eigh
+
+        def largest_only(a):
+            w, V = eigh(a)
+            return np.where(np.abs(w) == np.max(np.abs(w)), w, 0.0), V
+
+        monkeypatch.setattr(np.linalg, "eigh", largest_only)
+        assert self.rank_two_error() == pytest.approx(0.0977, abs=5e-4)
 
     def test_slightly_negative_eigenvalue_is_kept(self):
         # the input check accepts an eigenvalue of -5e-11; clamping it would move the
@@ -469,8 +500,8 @@ class TestHusimiClosedForms:
         a = grid.nodes()[:, :, None]
         n = np.arange(9)
         C = np.exp(-0.5 * np.abs(a) ** 2) * a ** n / np.sqrt([float(factorial(k)) for k in n])
-        vals = np.einsum("xym,imjn,xyn->xyij", C.conj(), rho.reshape(2, 9, 2, 9), C) / np.pi
-        vals = 0.5 * (vals + vals.conj().transpose(0, 1, 3, 2))
+        vals = np.einsum("xym,imjn,xyn->ijxy", C.conj(), rho.reshape(2, 9, 2, 9), C) / np.pi
+        vals = 0.5 * (vals + vals.conj().transpose(1, 0, 2, 3))
         assert np.max(np.abs(husimi_density(rho, space, grid).values - vals)) <= 1e-14
 
 
@@ -500,7 +531,7 @@ class TestExpectations:
         rho = random_composite_density(rng, 2, 8)
         field = husimi_density(rho, space, default_grid)
         expected = float(np.real(partial_trace_field(rho, space)[0, 0]))
-        excited = np.sum(field.values[:, :, 0, 0].real) * default_grid.weight
+        excited = np.sum(field.values[0, 0].real) * default_grid.weight
         assert excited == pytest.approx(expected, abs=1e-6)
 
 
@@ -596,12 +627,9 @@ class TestMonomials:
         grid = PhaseGrid(5.0, 32)
         a = grid.nodes()
         ref = np.power(a, j) * np.power(np.conj(a), k)
-        c = 0.3 - 0.7j
-        values = SemiclassicalObservable.from_poly({(j, k): c}).values_on(grid)
-        assert np.all(np.abs(values - c * ref) <= 1e-13 * np.abs(c * ref))
         rng = np.random.default_rng(61)
-        ops = rng.normal(size=(32, 32, 2, 2)) + 1j * rng.normal(size=(32, 32, 2, 2))
-        trace = np.einsum("xyii->xy", ops)
+        ops = rng.normal(size=(2, 2, 32, 32)) + 1j * rng.normal(size=(2, 2, 32, 32))
+        trace = np.einsum("iixy->xy", ops)
         scale = np.sum(np.abs(ref * trace)) * grid.weight
         expected = np.sum(ref * trace) * grid.weight
         for field in (PhaseFunction(grid, trace), OperatorPhaseField(grid, ops)):
@@ -609,17 +637,12 @@ class TestMonomials:
 
 
 class TestObservableType:
-    def test_values_on_grid(self):
-        grid = PhaseGrid(5.0, 32)
-        obs = SemiclassicalObservable.from_poly({(1, 0): 1.0})
-        np.testing.assert_allclose(obs.values_on(grid), grid.nodes())
-
     @pytest.mark.parametrize("poly", [{(-1, 0): 1.0}, {(0.5, 1): 1.0}, {(1.0, 0): 1.0},
                                       {(1,): 1.0}, {1: 1.0}],
                              ids=["negative", "fractional", "float", "single", "bare"])
     def test_refuses_exponents_that_are_not_non_negative_integers(self, poly):
         # an a^-1 term would read as tr rho in symmetric_moment_oracle, vanish in
-        # coarse_grain and be NaN at a = 0 in values_on, so construction refuses it
+        # coarse_grain and read as a^0 in swe_expectation, so construction refuses it
         valid = SemiclassicalObservable.abs_square()
         for build in (SemiclassicalObservable, SemiclassicalObservable.from_poly,
                       lambda p: replace(valid, poly=p)):

@@ -964,7 +964,7 @@ class TestOracleComparison:
         state = product_initial_state(atom, coherent_amplitudes(0.5 - 0.3j, space.fock), space)
         report = compare_to_oracle(state, state, grid64)
         psi = evaluate_on_grid(state, grid64).values
-        fields = {"swe": OperatorPhaseField(grid64, np.einsum("ixy,jxy->xyij", psi, psi.conj())),
+        fields = {"swe": OperatorPhaseField(grid64, np.einsum("ixy,jxy->ijxy", psi, psi.conj())),
                   "oracle": husimi_density(density_operator(state), space, grid64)}
         for name, (j, k) in {"1": (0, 0), "a": (1, 0), "a*": (0, 1), "|a|^2": (1, 1)}.items():
             for side, field in fields.items():
