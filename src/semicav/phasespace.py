@@ -36,11 +36,14 @@ from semicav.fockspace import (
 _REFERENCE_H = 5.0 / 64.0
 
 # Real multiply-adds per GEMM in _chi_on_grid and husimi_density, which
-# sets how many points one block holds. OpenBLAS runs a GEMM this small on
-# the calling thread. Larger ones at these shapes woke its second thread,
-# which doubled the kernels' CPU time, saved no wall time, and for about
-# 0.1 s after each call halved the speed of the small matrix products the
-# grid backend runs. The per-block scratch stays below 1 MB.
+# sets how many points one block holds: in _chi_on_grid, twice as many for
+# blocks that pair (i, j) with (j, i), which contract half the columns.
+# OpenBLAS runs a GEMM this small on the calling thread. Larger ones at
+# these shapes woke its second thread, which doubled the kernels' CPU time,
+# saved no wall time, and for about 0.1 s after each call halved the speed
+# of the small matrix products the grid backend runs. A husimi_density block's
+# scratch is bounded below; a _chi_on_grid block's, its Laguerre columns and
+# Horner sums, is largest for the one-level Wigner function: about 3 MB at n_max 8.
 _GEMM_MACS = 1 << 19
 
 # Bytes of scratch in one block of husimi_density: the overlaps, the GEMM result and its
@@ -67,6 +70,12 @@ class PhaseGrid:
             raise ValueError(f"L must be positive and finite, got {self.L}")
         if self.M < 32 or (self.M & (self.M - 1)) != 0:
             raise ValueError("M must be a power of two, at least 32")
+        # built with the grid, not on first use: with a lazily cached array the grid
+        # backend's verify read 3% slower in every pair measured, for the same work
+        x = self.axis()
+        nodes = x[:, None] + 1j * x[None, :]
+        nodes.flags.writeable = False
+        object.__setattr__(self, "_nodes", nodes)
 
     @property
     def h(self) -> float:
@@ -85,9 +94,8 @@ class PhaseGrid:
         return np.arange(self.M) * self.h - self.L
 
     def nodes(self) -> np.ndarray:
-        """Complex node array, indexed [ix, iy]."""
-        x = self.axis()
-        return x[:, None] + 1j * x[None, :]
+        """Complex node array, indexed [ix, iy]: built once per grid, and read-only."""
+        return self._nodes
 
     def boundary_mask(self) -> np.ndarray:
         mask = np.zeros((self.M, self.M), dtype=bool)
@@ -256,6 +264,23 @@ def superop_characteristic_function(rho: np.ndarray, lam: complex,
     return CharacteristicSample(lam, complex(np.trace(shifted)))
 
 
+def _column_set(scaled: np.ndarray, batch: tuple) -> tuple:
+    """The column set of _chi_on_grid for nb blocks on the last axis, and where H(R(B)) lies.
+
+    The set is the blocks themselves when the batch is (d, d) and each reflection R(B)
+    equals the block with (i, j) and (j, i) swapped, bit for bit; otherwise the blocks
+    followed by their reflections. The second result gives, per block, the entry of the
+    set whose Horner sum is H(R(B)).
+    """
+    nb = scaled.shape[2]
+    n = np.arange(scaled.shape[0])
+    reflected = ((-1.0) ** np.add.outer(n, n))[:, :, None] * scaled.transpose(1, 0, 2).conj()
+    swap = np.arange(nb).reshape(batch).T.ravel()  # entry (i, j) -> (j, i) of a (d, d) batch
+    if len(batch) == 2 and batch[0] == batch[1] and np.array_equal(reflected, scaled[:, :, swap]):
+        return scaled, swap
+    return np.concatenate((scaled, reflected), axis=2), nb + np.arange(nb)
+
+
 def _chi_on_grid(blocks: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """tr(D(lam) B) for every lambda in an array and every block B, in closed form.
 
@@ -265,48 +290,60 @@ def _chi_on_grid(blocks: np.ndarray, lam: np.ndarray) -> np.ndarray:
     (and (-lam*)^k for the transposed element); exact on the truncated space
     because the ladder operators are nilpotent there.
 
-    Per diagonal k, the columns e^{-x/2} L_n^(k)(x), n = 0..n_max-k, come
-    from the three-term recurrence in n started at the envelope, and one
-    real GEMM contracts them with the real and imaginary parts of the
-    (n, n+k) and (n+k, n) elements of every block. Lambda is processed in
-    blocks sized by _GEMM_MACS.
+    Per diagonal k, the columns e^{-x/2} L_n^(k)(x), n = 0..n_max-k, x = |lam|^2, come
+    from the three-term recurrence in n started at the envelope, and one real GEMM
+    contracts them with the real and imaginary parts of a column set: U_k(B), the sums
+    over the (n, n+k) elements. The (n+k, n) terms of B are the conjugates of the
+    (n, n+k) terms of its reflection R(B)[n, m] = (-1)^(n+m) B[m, n]*, so that
+    chi = U_0(B) + H(B) + H(R(B))* with H = sum_{k>=1} lam^k U_k, summed by Horner's
+    rule from the top diagonal down: no power of lam is formed, and where the columns
+    underflow to 0 far from the origin, 0 * lam stays 0. General blocks take both column
+    sets (_column_set). When the batch is (d, d) and R(B) is B with its batch axes
+    swapped, bit for bit (the parity-folded blocks of a Hermitian rho), H(R(B))_ij is
+    H(B)_ji and is not computed again: half the columns. Lambda is processed in blocks
+    sized by _GEMM_MACS.
     """
     n_max = blocks.shape[0] - 1
-    nb = int(np.prod(blocks.shape[2:], dtype=int))
+    batch = blocks.shape[2:]
+    nb = int(np.prod(batch, dtype=int))
     n = np.arange(n_max + 1)
     log_fact = _log_factorials(n_max)
     lo, hi = log_fact[np.minimum.outer(n, n)], log_fact[np.maximum.outer(n, n)]
     scaled = np.asarray(blocks, dtype=complex).reshape(n_max + 1, n_max + 1, nb) \
         * np.exp(0.5 * (lo - hi))[:, :, None]
-    # rows n, columns Re/Im of the (n, n+k) elements, then of the (n+k, n) ones for k > 0
+    columns, mirror = _column_set(scaled, batch)
+    ncols = columns.shape[2]
+    # rows n, columns Re/Im of the k = 0 elements, then of the column set per k > 0
     diagonals = [np.diagonal(scaled, 0).T.copy().view(float)]
-    diagonals += [np.concatenate((np.diagonal(scaled, k).T, np.diagonal(scaled, -k).T),
-                                 axis=1).view(float) for k in range(1, n_max + 1)]
+    diagonals += [np.diagonal(columns, k).T.copy().view(float) for k in range(1, n_max + 1)]
     lam_flat = lam.ravel()
     chi = np.empty((lam_flat.size, nb), dtype=complex)
-    size = max(1, _GEMM_MACS // ((n_max + 1) * 4 * nb))
+    size = max(1, _GEMM_MACS // ((n_max + 1) * 2 * ncols))
     for start in range(0, lam_flat.size, size):
         z = lam_flat[start:start + size]
         x = z.real ** 2 + z.imag ** 2
         env = np.exp(-0.5 * x)
-        lag = np.empty((n_max + 1, z.size))
-        acc = chi[start:start + z.size]
-        up, down = np.ones_like(z), np.ones_like(z)
-        for k, cols in enumerate(diagonals):
+        lag, tmp = np.empty((n_max + 1, z.size)), np.empty(z.size)
+        acc = np.zeros((z.size, ncols), dtype=complex)
+        for k in range(n_max, -1, -1):
             rows = n_max + 1 - k
             lag[0] = env
             if rows > 1:
                 lag[1] = (1 + k - x) * env
             for j in range(1, rows - 1):
-                lag[j + 1] = ((2 * j + 1 + k - x) * lag[j] - (j + k) * lag[j - 1]) / (j + 1)
-            terms = (lag[:rows].T @ cols).view(complex)
+                # lag[j + 1] = ((2j + 1 + k - x) lag[j] - (j + k) lag[j - 1]) / (j + 1), in place
+                np.subtract(2 * j + 1 + k, x, out=tmp)
+                tmp *= lag[j]
+                np.multiply(j + k, lag[j - 1], out=lag[j + 1])
+                np.subtract(tmp, lag[j + 1], out=lag[j + 1])
+                lag[j + 1] /= j + 1
+            terms = (lag[:rows].T @ diagonals[k]).view(complex)
             if k == 0:
-                acc[:] = terms
+                chi[start:start + z.size] = terms + acc[:, :nb] + acc[:, mirror].conj()
             else:
-                up *= z
-                down *= -z.conj()
-                acc += up[:, None] * terms[:, :nb] + down[:, None] * terms[:, nb:]
-    return chi.reshape(lam.shape + blocks.shape[2:])
+                acc += terms
+                acc *= z[:, None]
+    return chi.reshape(lam.shape + batch)
 
 
 def _check_psd(ops: np.ndarray, tol: float, what: str) -> None:
@@ -321,12 +358,15 @@ def _check_psd(ops: np.ndarray, tol: float, what: str) -> None:
 
 
 def _density_operator(rho: np.ndarray, space: CompositeSpace) -> np.ndarray:
-    """Shape (D, D), Hermitian and PSD within 1e-10: the one check of both transforms' input."""
+    """Shape (D, D), Hermitian and PSD within 1e-10: the one check of both transforms' input.
+
+    Returns the Hermitian part (rho + rho+)/2, which both transforms take: Hermitian bit
+    for bit, as the pairing in ``_chi_on_grid`` needs."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (space.total_dim, space.total_dim):
         raise ValueError(f"density operator has shape {rho.shape}")
     _check_psd(rho, 1e-10, "density operator")
-    return rho
+    return 0.5 * (rho + rho.conj().T)
 
 
 def _check_grid_covers(w: np.ndarray, grid: PhaseGrid) -> None:
@@ -363,6 +403,10 @@ def sharp_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> Op
     operator. Each node is the displaced parity of the module docstring: the
     parity (-1)^n multiplies the row index n of B_nm, so that the kernel sees
     P B (on the column index it would give W(-a)).
+
+    The transform is that of the Hermitian part (rho + rho+)/2, which differs from
+    rho by at most the 1e-10 the input check allows. Its parity-folded blocks pair
+    (i, j) with (j, i) bit for bit, so ``_chi_on_grid`` contracts half the columns.
     """
     rho = _density_operator(rho, space)
     d, nf = space.atom_dim, space.fock.dim
@@ -436,7 +480,7 @@ def husimi_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> O
     """
     rho = _density_operator(rho, space)
     d, nf = space.atom_dim, space.fock.dim
-    w, V = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    w, V = np.linalg.eigh(rho)
     keep = np.abs(w) >= rho.shape[0] * np.finfo(float).eps * np.max(np.abs(w))  # all if rho = 0
     w, V, rank = w[keep], V[:, keep], int(np.count_nonzero(keep))
     scale = np.exp(-0.5 * _log_factorials(space.fock.n_max))

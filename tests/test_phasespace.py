@@ -79,6 +79,18 @@ class TestPhaseGrid:
         assert grid.axis()[64] == 0.0
         assert grid.nodes()[64, 64] == 0.0
 
+    def test_nodes_are_built_once_and_read_only(self):
+        # a grid's every caller shares one node array, so none may write through it
+        grid = PhaseGrid(5.0, 64)
+        nodes = grid.nodes()
+        assert grid.nodes() is nodes
+        x = grid.axis()
+        np.testing.assert_array_equal(nodes, x[:, None] + 1j * x[None, :])
+        assert grid == PhaseGrid(5.0, 64) and hash(grid) == hash(PhaseGrid(5.0, 64))
+        for view in (nodes, nodes.ravel(), nodes.real):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 1.0
+
     def test_tolerance_at_default(self):
         assert PhaseGrid(5.0, 128).tol == pytest.approx(1e-4)
         assert PhaseGrid(5.0, 256).tol == pytest.approx(2.5e-5)
@@ -178,6 +190,19 @@ class TestWigner:
         exact = (2.0 / np.pi) * np.exp(-2.0 * r2) * eval_laguerre(8, 4.0 * r2)
         assert np.max(np.abs(w.values - exact)) <= 1e-12
 
+    def test_odd_coherence_closed_form(self, default_grid):
+        # psi = c0|0> + c1|1> has W(a) = (2/pi) e^{-2|a|^2} (|c0|^2 + |c1|^2 (4|a|^2 - 1)
+        # + 4 Re(c0 c1* a)); the cross term is a k = 1 diagonal, whose sign a wrong
+        # (-1)^k in the kernel's pairing flips
+        c = np.zeros(5, dtype=complex)
+        c[:2] = np.array([1.0, np.exp(0.7j)]) / np.sqrt(2.0)
+        w = wigner(np.outer(c, c.conj()), default_grid)
+        a = default_grid.nodes()
+        r2 = np.abs(a) ** 2
+        exact = (2.0 / np.pi) * np.exp(-2.0 * r2) * (
+            abs(c[0]) ** 2 + abs(c[1]) ** 2 * (4.0 * r2 - 1.0) + 4.0 * (c[0] * c[1].conj() * a).real)
+        assert np.max(np.abs(w.values - exact)) <= 1e-14
+
     def test_under_resolved_grid_refused(self):
         # h = 0.5 does not resolve the oscillations of |8><8|
         with pytest.raises(ValueError, match="quadrature normalization"):
@@ -257,6 +282,71 @@ class TestChiOnGrid:
             chi = phasespace._chi_on_grid(blocks, lam)
             assert chi.shape == expected.shape
             assert np.all(np.abs(chi - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+    def test_paired_blocks_match_displacement_exponential(self, monkeypatch):
+        # the parity-folded blocks of a Hermitian rho pair entry (i, j) with (j, i), and
+        # the kernel sums their columns once; the reference is the exponential, as above
+        n_max, d = 9, 3
+        nf = n_max + 1
+        rng = np.random.default_rng(83)
+        A = rng.normal(size=(d * nf, d * nf)) + 1j * rng.normal(size=(d * nf, d * nf))
+        rho = A @ A.conj().T
+        rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+        assert np.array_equal(rho, rho.conj().T)  # Hermitian bit for bit, as sharp_density's
+        parity = (-1.0) ** np.arange(nf)[:, None, None, None]
+        blocks = parity * rho.reshape(d, nf, d, nf).transpose(1, 3, 0, 2)
+        lam = np.linspace(0.0, 2.0, 19)[:, None] * np.exp(2j * np.pi * rng.random((19, 7)))
+        a = annihilation(FockBasis(n_max + 40))
+        lam_ = lam[..., None, None]
+        w, V = np.linalg.eigh(1j * (lam_ * a.conj().T - np.conj(lam_) * a))
+        disp = (V * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+        expected = np.einsum("...mn,nmij->...ij", disp[..., :nf, :nf], blocks)
+        # 133 points: one block at the module's GEMM size, then blocks of at most 60
+        # points (half the columns of the general case), the last partial
+        for macs in (phasespace._GEMM_MACS, 30 * nf * 4 * 9):
+            monkeypatch.setattr(phasespace, "_GEMM_MACS", macs)
+            chi = phasespace._chi_on_grid(blocks, lam)
+            assert chi.shape == expected.shape
+            assert np.all(np.abs(chi - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+    def test_sharp_density_matches_two_sided_kernel(self):
+        # a trailing batch axis of length 1 is no (d, d) batch, so there the kernel sums
+        # the (n, n+k) and (n+k, n) columns of every block itself
+        grid, space = PhaseGrid(5.0, 64), CompositeSpace(3, FockBasis(8))
+        rng = np.random.default_rng(84)
+        vecs = rng.normal(size=(3, 27)) + 1j * rng.normal(size=(3, 27))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        rho = np.einsum("k,ki,kj->ij", rng.dirichlet(np.ones(3)), vecs, vecs.conj())
+        rho = 0.5 * (rho + rho.conj().T)
+        field = sharp_density(rho, space, grid)
+        parity = (-1.0) ** np.arange(9)[:, None, None, None, None]
+        blocks = parity * rho.reshape(3, 9, 3, 9).transpose(1, 3, 0, 2)[..., None]
+        chi = phasespace._chi_on_grid(blocks, 2.0 * grid.nodes())[..., 0]
+        expected = np.moveaxis((2.0 / np.pi) * chi, (0, 1), (2, 3))
+        assert np.max(np.abs(field.values - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    def test_density_operators_take_half_the_columns(self, monkeypatch):
+        # a rho that is Hermitian only within the input check pairs once the transforms
+        # take its Hermitian part; general blocks take both column sets. Both paths give
+        # the same values, so only the width of the column set shows which one ran
+        widths = []
+        column_set = phasespace._column_set
+
+        def spy(scaled, batch):
+            columns, mirror = column_set(scaled, batch)
+            widths.append(columns.shape[2] // scaled.shape[2])
+            return columns, mirror
+
+        monkeypatch.setattr(phasespace, "_column_set", spy)
+        grid, space = PhaseGrid(5.0, 64), CompositeSpace(3, FockBasis(8))
+        rng = np.random.default_rng(85)
+        v = rng.normal(size=27) + 1j * rng.normal(size=27)
+        rho = np.outer(v, v.conj()) / np.vdot(v, v).real
+        rho[0, 1] += 1e-13
+        sharp_density(rho, space, grid)
+        wigner(rho[:9, :9] / np.trace(rho[:9, :9]).real, grid)
+        phasespace._chi_on_grid(rng.normal(size=(9, 9, 3, 3)), grid.nodes())
+        assert widths == [1, 1, 2]
 
     def test_far_lambda_is_zero_not_nan(self):
         # the envelope underflows to 0 near |lam| 40; at |lam|^2 = 2e22 L_16 alone
