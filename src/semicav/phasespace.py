@@ -43,7 +43,8 @@ _REFERENCE_H = 5.0 / 64.0
 # saved no wall time, and for about 0.1 s after each call halved the speed
 # of the small matrix products the grid backend runs. A husimi_density block's
 # scratch is bounded below; a _chi_on_grid block's, its Laguerre columns and
-# Horner sums, is largest for the one-level Wigner function: about 3 MB at n_max 8.
+# Horner sums, is largest for the one-level Wigner function: 7.5 MB at n_max 8 under
+# tracemalloc, for a full block of 29127 points.
 _GEMM_MACS = 1 << 19
 
 # Bytes of scratch in one block of husimi_density: the overlaps, the GEMM result and its
@@ -58,8 +59,10 @@ class PhaseGrid:
 
     M must be even, so that the centred kernel and nodes()[M/2, M/2] = 0 line
     up, and a power of two, which the FFTs of the convolution favour.
-    Nodes sit at x_k = -L + k h with h = 2L/M; the quadrature weight is
-    h^2 per node.
+    Nodes sit at x_k = (k - M/2) h with h = 2L/M; the quadrature weight is
+    h^2 per node. With M a power of two, h is exact and (-j) h = -(j h), so the
+    nodes are point-symmetric bit for bit, for every L: node (r, c) is minus node
+    (M - r, M - c) for r, c >= 1.
     """
 
     L: float
@@ -91,7 +94,7 @@ class PhaseGrid:
         return 1e-4 * (self.h / _REFERENCE_H) ** 2
 
     def axis(self) -> np.ndarray:
-        return np.arange(self.M) * self.h - self.L
+        return (np.arange(self.M) - self.M // 2) * self.h
 
     def nodes(self) -> np.ndarray:
         """Complex node array, indexed [ix, iy]: built once per grid, and read-only."""
@@ -281,6 +284,45 @@ def _column_set(scaled: np.ndarray, batch: tuple) -> tuple:
     return np.concatenate((scaled, reflected), axis=2), nb + np.arange(nb)
 
 
+def _chi_pair(z: np.ndarray, diagonals: list, mirror: np.ndarray, ncols: int) -> tuple:
+    """chi(z) and chi(-z) of _chi_on_grid for the points z of one block, each (z.size, nb).
+
+    Per diagonal k, the Laguerre columns at x = |z|^2 come from the three-term recurrence
+    and one real GEMM contracts them with ``diagonals[k]``: U_k, a function of |z|^2 alone.
+    H = sum_{k>=1} z^k U_k splits into its even part E and odd part O, and H(-z) = E - O.
+    Horner's rule runs in w = z^2 with one accumulator per parity, from the top diagonal
+    down, then E = w acc_0 and O = z acc_1: no power of z is formed, and where the columns
+    underflow to 0 far from the origin, 0 * w stays 0.
+    """
+    n_max = len(diagonals) - 1
+    x = z.real ** 2 + z.imag ** 2
+    env = np.exp(-0.5 * x)
+    w = (z * z)[:, None]
+    lag, tmp = np.empty((n_max + 1, z.size)), np.empty(z.size)
+    acc = np.zeros((2, z.size, ncols), dtype=complex)
+    for k in range(n_max, -1, -1):
+        rows = n_max + 1 - k
+        lag[0] = env
+        if rows > 1:
+            lag[1] = (1 + k - x) * env
+        for j in range(1, rows - 1):
+            # lag[j + 1] = ((2j + 1 + k - x) lag[j] - (j + k) lag[j - 1]) / (j + 1), in place
+            np.subtract(2 * j + 1 + k, x, out=tmp)
+            tmp *= lag[j]
+            np.multiply(j + k, lag[j - 1], out=lag[j + 1])
+            np.subtract(tmp, lag[j + 1], out=lag[j + 1])
+            lag[j + 1] /= j + 1
+        terms = (lag[:rows].T @ diagonals[k]).view(complex)
+        if k > 0:
+            acc[k % 2] *= w
+            acc[k % 2] += terms
+    acc[0] *= w
+    acc[1] *= z[:, None]
+    even, odd = acc
+    nb = len(mirror)
+    return tuple(terms + h[:, :nb] + h[:, mirror].conj() for h in (even + odd, even - odd))
+
+
 def _chi_on_grid(blocks: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """tr(D(lam) B) for every lambda in an array and every block B, in closed form.
 
@@ -296,12 +338,18 @@ def _chi_on_grid(blocks: np.ndarray, lam: np.ndarray) -> np.ndarray:
     over the (n, n+k) elements. The (n+k, n) terms of B are the conjugates of the
     (n, n+k) terms of its reflection R(B)[n, m] = (-1)^(n+m) B[m, n]*, so that
     chi = U_0(B) + H(B) + H(R(B))* with H = sum_{k>=1} lam^k U_k, summed by Horner's
-    rule from the top diagonal down: no power of lam is formed, and where the columns
-    underflow to 0 far from the origin, 0 * lam stays 0. General blocks take both column
+    rule split into even and odd diagonals (_chi_pair). General blocks take both column
     sets (_column_set). When the batch is (d, d) and R(B) is B with its batch axes
     swapped, bit for bit (the parity-folded blocks of a Hermitian rho), H(R(B))_ij is
     H(B)_ji and is not computed again: half the columns. Lambda is processed in blocks
     sized by _GEMM_MACS.
+
+    U_k depends on |lam|^2 alone, so chi(-lam) is the same sum with the odd diagonals
+    negated, and one evaluation gives both. When ``lam`` is a square (M, M) array with M
+    even and lam[1:, 1:] = -lam[:0:-1, :0:-1] bit for bit (2 * PhaseGrid.nodes()), only
+    rows 0..M/2 and column 0 of the rows below are evaluated, M^2/2 + 3M/2 - 1 points:
+    row 0 and column 0 have no partner, row M/2 is its own mirror, and chi(-lam) of rows
+    1..M/2-1 fills the rest. Any other ``lam`` is evaluated at every point.
     """
     n_max = blocks.shape[0] - 1
     batch = blocks.shape[2:]
@@ -319,30 +367,24 @@ def _chi_on_grid(blocks: np.ndarray, lam: np.ndarray) -> np.ndarray:
     lam_flat = lam.ravel()
     chi = np.empty((lam_flat.size, nb), dtype=complex)
     size = max(1, _GEMM_MACS // ((n_max + 1) * 2 * ncols))
-    for start in range(0, lam_flat.size, size):
-        z = lam_flat[start:start + size]
-        x = z.real ** 2 + z.imag ** 2
-        env = np.exp(-0.5 * x)
-        lag, tmp = np.empty((n_max + 1, z.size)), np.empty(z.size)
-        acc = np.zeros((z.size, ncols), dtype=complex)
-        for k in range(n_max, -1, -1):
-            rows = n_max + 1 - k
-            lag[0] = env
-            if rows > 1:
-                lag[1] = (1 + k - x) * env
-            for j in range(1, rows - 1):
-                # lag[j + 1] = ((2j + 1 + k - x) lag[j] - (j + k) lag[j - 1]) / (j + 1), in place
-                np.subtract(2 * j + 1 + k, x, out=tmp)
-                tmp *= lag[j]
-                np.multiply(j + k, lag[j - 1], out=lag[j + 1])
-                np.subtract(tmp, lag[j + 1], out=lag[j + 1])
-                lag[j + 1] /= j + 1
-            terms = (lag[:rows].T @ diagonals[k]).view(complex)
-            if k == 0:
-                chi[start:start + z.size] = terms + acc[:, :nb] + acc[:, mirror].conj()
-            else:
-                acc += terms
-                acc *= z[:, None]
+    M = lam.shape[0] if lam.ndim else 0
+    paired = lam.shape == (M, M) and M % 2 == 0 and np.array_equal(lam[1:, 1:],
+                                                                   -lam[:0:-1, :0:-1])
+    # A paired grid evaluates rows 0..M/2, then column 0 of the rows below. Flat index
+    # e = rM + c in [M + 1, M^2/2) reflects to M^2 + M - e; the reversed slice also writes
+    # column 0 of rows M/2 + 2..M - 1, which is evaluated after it
+    head, stride, mirrored = ((M // 2 + 1) * M, M, (M + 1, M * M // 2)) if paired \
+        else (lam_flat.size, 1, (0, 0))
+    end = lam_flat.size + M + 1
+    for points in (range(head), range(head, lam_flat.size, stride)):
+        for start in range(0, len(points), size):
+            at = points[start:start + size]
+            block = slice(at.start, at.stop, at.step)
+            plus, minus = _chi_pair(lam_flat[block], diagonals, mirror, ncols)
+            chi[block] = plus
+            first, last = max(at.start, mirrored[0]), min(at.stop, mirrored[1])
+            if first < last:
+                chi[end - last:end - first] = minus[first - at.start:last - at.start][::-1]
     return chi.reshape(lam.shape + batch)
 
 
@@ -421,7 +463,15 @@ def sharp_density(rho: np.ndarray, space: CompositeSpace, grid: PhaseGrid) -> Op
 def _convolve_with_kernel(values: np.ndarray, grid: PhaseGrid) -> np.ndarray:
     """Circular FFT convolution of the node axes with the vacuum kernel on ``grid``, weight h^2."""
     kft = np.fft.fft2(np.fft.ifftshift(vacuum_kernel(grid)))
-    return np.fft.ifft2(np.fft.fft2(values) * kft) * grid.weight
+    # one copy, transformed in place one axis at a time; fft2(..., out=) gave wrong values
+    out = np.array(values, dtype=complex, order="C")
+    for axis in (-1, -2):
+        np.fft.fft(out, axis=axis, out=out)
+    out *= kft
+    for axis in (-1, -2):
+        np.fft.ifft(out, axis=axis, out=out)
+    out *= grid.weight
+    return out
 
 
 def _boundary_mass(values: np.ndarray, grid: PhaseGrid) -> float:

@@ -508,6 +508,28 @@ class TestVerifyCommand:
         assert errors["husimi_two_routes"] == pytest.approx(0.156, abs=5e-4)
         assert errors["sharp_moment_identity"] == pytest.approx(1.21, abs=5e-3)
 
+    @pytest.mark.parametrize("backend", ["bargmann", "grid"])
+    def test_reflection_from_the_unsigned_sum_fails_its_two_checks(self, tmp_path,
+                                                                  monkeypatch, backend):
+        # chi(-lam) formed from E + O instead of E - O is chi(lam): every node below row
+        # M/2 off column 0 then holds the sharp density at -a, so the same two checks as
+        # the column parity's fail, at other values
+        chi_pair = phasespace._chi_pair
+
+        def unsigned(*args):
+            plus, _ = chi_pair(*args)
+            return plus, plus
+
+        monkeypatch.setattr(phasespace, "_chi_pair", unsigned)
+        config = small_config(tmp_path, fock={"n_max": 8}, grid={"L": 6.0, "M": 32},
+                              swe_backend=backend)
+        status, report = cmd_verify(config)
+        assert status == 1
+        errors = {c["name"]: c["error"] for c in report["checks"] if not c["pass"]}
+        assert set(errors) == {"husimi_two_routes", "sharp_moment_identity"}
+        assert errors["husimi_two_routes"] == pytest.approx(0.1557, abs=5e-4)
+        assert errors["sharp_moment_identity"] == pytest.approx(1.182, abs=5e-3)
+
 
 class TestFieldSerialization:
     def test_scalar_field_round_trip(self, tmp_path):

@@ -91,6 +91,26 @@ class TestPhaseGrid:
             with pytest.raises(ValueError, match="read-only"):
                 view[0] = 1.0
 
+    @pytest.mark.parametrize("L", [0.5, 2.5, 3.0, 5.0, 6.0, 7.0, 8.0, 20.0])
+    def test_dyadic_axis_is_the_offset_form_byte_for_byte(self, L):
+        # every config in use has such an L: its nodes did not move when the axis
+        # became (k - M/2) h, so no pinned number moved with them
+        for M in (32, 64, 128, 256, 512):
+            grid = PhaseGrid(L, M)
+            assert grid.axis().tobytes() == (np.arange(M) * grid.h - L).tobytes()
+
+    @pytest.mark.parametrize("L", [5.3, 7.1])
+    def test_nodes_are_point_symmetric_bit_for_bit(self, L):
+        # -L + k h misses the reflection by up to 2.5e-15 at these L, and then
+        # _chi_on_grid would evaluate every node instead of one per +-lambda pair
+        for M in (32, 64, 256):
+            grid = PhaseGrid(L, M)
+            x, nodes = grid.axis(), grid.nodes()
+            assert x[0] == -L and x[M // 2] == 0.0
+            assert np.array_equal(x[1:], -x[:0:-1])
+            assert np.array_equal(nodes[1:, 1:], -nodes[:0:-1, :0:-1])
+            assert not np.array_equal(np.arange(M) * grid.h - L, x)
+
     def test_tolerance_at_default(self):
         assert PhaseGrid(5.0, 128).tol == pytest.approx(1e-4)
         assert PhaseGrid(5.0, 256).tol == pytest.approx(2.5e-5)
@@ -348,6 +368,54 @@ class TestChiOnGrid:
         phasespace._chi_on_grid(rng.normal(size=(9, 9, 3, 3)), grid.nodes())
         assert widths == [1, 1, 2]
 
+    @pytest.mark.parametrize("macs", [phasespace._GEMM_MACS, 30 * 9 * 4 * 9])
+    def test_reflected_nodes_match_every_node_evaluated(self, macs, monkeypatch):
+        # on a grid the kernel evaluates rows 0..M/2 and column 0 below them, and fills
+        # the other nodes with chi(-lam); a 1-D lam is never paired, so it evaluates every
+        # node. At the smaller size, partial blocks of 60 points straddle flat index M + 1
+        # (the first reflected node) and the end of row M/2 (the last evaluated row)
+        monkeypatch.setattr(phasespace, "_GEMM_MACS", macs)
+        grid, space = PhaseGrid(5.3, 64), CompositeSpace(3, FockBasis(8))
+        rho = random_composite_density(np.random.default_rng(86), 3, 8)
+        rho = 0.5 * (rho + rho.conj().T)
+        field = sharp_density(rho, space, grid)
+        parity = (-1.0) ** np.arange(9)[:, None, None, None]
+        blocks = parity * rho.reshape(3, 9, 3, 9).transpose(1, 3, 0, 2)
+        chi = phasespace._chi_on_grid(blocks, (2.0 * grid.nodes()).ravel())
+        expected = np.moveaxis((2.0 / np.pi) * chi.reshape(64, 64, 3, 3), (0, 1), (2, 3))
+        assert np.max(np.abs(field.values - expected)) <= 1e-15 * np.max(np.abs(expected))
+        # scaled by 1/8, exactly, the nodes keep their symmetry, and the corner (63, 63),
+        # the first reflected node, is no longer negligible
+        lam = 0.125 * grid.nodes()
+        chi, expected = (phasespace._chi_on_grid(blocks, z) for z in (lam, lam.ravel()))
+        assert np.max(np.abs(expected[-1])) >= 0.01 * np.max(np.abs(expected))
+        assert np.max(np.abs(chi.reshape(expected.shape) - expected)) \
+            <= 1e-15 * np.max(np.abs(expected))
+
+    def test_pairs_only_a_point_symmetric_grid(self, monkeypatch):
+        # the number of points evaluated shows whether the +-lambda pairs ran: a node
+        # nudged by one ulp breaks the symmetry bit for bit, and every node is evaluated
+        evaluated = []
+        chi_pair = phasespace._chi_pair
+
+        def spy(z, *args):
+            evaluated[-1] += z.size
+            return chi_pair(z, *args)
+
+        monkeypatch.setattr(phasespace, "_chi_pair", spy)
+        grid, space = PhaseGrid(5.3, 64), CompositeSpace(2, FockBasis(6))
+        rho = random_composite_density(np.random.default_rng(87), 2, 6)
+        parity = (-1.0) ** np.arange(7)[:, None, None, None]
+        blocks = parity * rho.reshape(2, 7, 2, 7).transpose(1, 3, 0, 2)
+        nudged = 2.0 * grid.nodes()
+        nudged[40, 9] = np.nextafter(nudged[40, 9].real, np.inf) + 1j * nudged[40, 9].imag
+        for lam in (2.0 * grid.nodes(), nudged):
+            evaluated.append(0)
+            phasespace._chi_on_grid(blocks, lam)
+        evaluated.append(0)
+        sharp_density(rho, space, grid)
+        assert evaluated == [64 ** 2 // 2 + 3 * 64 // 2 - 1, 64 ** 2, 64 ** 2 // 2 + 3 * 64 // 2 - 1]
+
     def test_far_lambda_is_zero_not_nan(self):
         # the envelope underflows to 0 near |lam| 40; at |lam|^2 = 2e22 L_16 alone
         # overflows, but lam^16 does not, so the product must stay 0
@@ -363,6 +431,21 @@ class TestCoarseGrain:
         assert q.kind == "husimi"
         exact = np.exp(-np.abs(default_grid.nodes()) ** 2) / np.pi
         assert np.max(np.abs(q.values - exact)) <= 1e-6
+
+    def test_convolution_in_place_matches_fft2(self):
+        # the one-axis passes on one copy give fft2's values and leave the input as it
+        # was, for an atom-major view such as sharp_density's and for a real plane
+        grid = PhaseGrid(5.0, 64)
+        rng = np.random.default_rng(88)
+        kft = np.fft.fft2(np.fft.ifftshift(vacuum_kernel(grid)))
+        field = rng.normal(size=(64, 64, 2, 2)) + 1j * rng.normal(size=(64, 64, 2, 2))
+        for values in (np.moveaxis(field, (0, 1), (2, 3)), field[:, :, 0, 0].real):
+            before = values.copy()
+            expected = np.fft.ifft2(np.fft.fft2(values) * kft) * grid.weight
+            out = phasespace._convolve_with_kernel(values, grid)
+            assert out.shape == values.shape and out.flags.c_contiguous
+            assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(expected))
+            np.testing.assert_array_equal(values, before)
 
     def test_polynomial_moment_shift(self):
         obs = SemiclassicalObservable.abs_square()
